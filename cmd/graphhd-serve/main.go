@@ -140,6 +140,29 @@ func parseFeedbackSpec(spec, defaultModel string) [][2]string {
 	return out
 }
 
+// Connection timeouts shared by both listeners: a client that trickles
+// its headers or body (slowloris) or parks an idle keep-alive connection
+// is cut off instead of holding the connection indefinitely. There is no
+// write timeout, because the debug listener streams pprof profiles for
+// as long as the caller asked.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds an http.Server for h on addr with the connection
+// timeouts above.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	var (
 		model       = flag.String("model", "", "single model artifact served as \"default\" (this or -models is required)")
@@ -292,21 +315,18 @@ func main() {
 	if *classNames != "" {
 		names = strings.Split(*classNames, ",")
 	}
-	srv := &http.Server{
-		Addr: *addr,
-		Handler: serve.NewHandler(router, serve.HandlerOptions{
-			ClassNames: names,
-			Limits:     graph.CodecLimits{MaxVertices: *maxVerts, MaxEdges: *maxEdges},
-			Logger:     log,
-		}),
-	}
+	srv := newServer(*addr, serve.NewHandler(router, serve.HandlerOptions{
+		ClassNames: names,
+		Limits:     graph.CodecLimits{MaxVertices: *maxVerts, MaxEdges: *maxEdges},
+		Logger:     log,
+	}))
 
 	// The diagnostics surface gets its own listener and server so its
 	// security posture (loopback-only bind) is independent of the
 	// serving address.
 	var dbgSrv *http.Server
 	if *debugAddr != "" {
-		dbgSrv = &http.Server{Addr: *debugAddr, Handler: serve.NewDebugHandler(router)}
+		dbgSrv = newServer(*debugAddr, serve.NewDebugHandler(router))
 		go func() {
 			log.Info("debug listener up", "addr", *debugAddr)
 			if err := dbgSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {

@@ -126,7 +126,7 @@ func inspectModel(path string) {
 // (GET /debug/traces) and prints the retained per-batch records as a
 // table, newest first: where each batch's microseconds went
 // (queue/dispatch/plan/encode/classify/escalate), its shape (graphs,
-// coalesced tasks, plan dedup ratio) and its cascade outcome.
+// coalesced tasks) and its cascade outcome.
 func inspectTraces(base string) {
 	url := strings.TrimRight(base, "/") + "/debug/traces"
 	client := &http.Client{Timeout: 10 * time.Second}
@@ -151,23 +151,19 @@ func inspectTraces(base string) {
 		return
 	}
 	us := func(ns int64) float64 { return float64(ns) / 1e3 }
-	fmt.Printf("%8s %-15s %6s %5s %9s %9s %8s %8s %9s %9s %9s %6s %-14s %s\n",
+	fmt.Printf("%8s %-15s %6s %5s %9s %9s %8s %8s %9s %9s %9s %-14s %s\n",
 		"seq", "time", "graphs", "tasks", "queue_us", "disp_us", "plan_us",
-		"enc_us", "class_us", "esc_us", "total_us", "dedup", "cascade", "kern")
+		"enc_us", "class_us", "esc_us", "total_us", "cascade", "kern")
 	for _, r := range tr.Traces {
-		dedup := "-"
-		if r.PlanPairs > 0 {
-			dedup = fmt.Sprintf("%.2f", float64(r.PlanDistinct)/float64(r.PlanPairs))
-		}
 		casc := "off"
 		if r.Cascade {
 			casc = fmt.Sprintf("%d+%d esc", r.Stage1, r.Escalated)
 		}
-		fmt.Printf("%8d %-15s %6d %5d %9.1f %9.1f %8.1f %8.1f %9.1f %9.1f %9.1f %6s %-14s %s\n",
+		fmt.Printf("%8d %-15s %6d %5d %9.1f %9.1f %8.1f %8.1f %9.1f %9.1f %9.1f %-14s %s\n",
 			r.Seq, r.Time.Format("15:04:05.000"), r.BatchSize, r.Tasks,
 			us(r.QueueWaitNanos), us(r.DispatchNanos), us(r.PlanNanos),
 			us(r.EncodeNanos), us(r.ClassifyNanos), us(r.EscalateNanos),
-			us(r.TotalNanos), dedup, casc, r.Kernel)
+			us(r.TotalNanos), casc, r.Kernel)
 	}
 }
 

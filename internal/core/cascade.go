@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"graphhd/internal/graph"
 	"graphhd/internal/hdc"
@@ -103,143 +102,8 @@ func (p *Predictor) PrefixSnapshot(d int) (*hdc.PackedMemory, error) {
 
 // PredictCascadeWith classifies g through the two-stage cascade using a
 // caller-owned scratch, reporting whether the decision escalated to full
-// dimension. Without an active cascade it behaves as PredictWith (never
-// escalated). The stage-1 winner is returned directly when its margin
-// clears the band; otherwise the decision is re-made at full width
-// against the full class vectors — identical to PredictWith. The
-// centrality ranking and rank-pair grouping are width-independent, so an
-// escalation reuses stage 1's prepared groups and pays only the second
-// accumulate + sign, not a second ranking pass.
+// dimension — PredictInto over the one-graph batch {g}. Without an
+// active cascade it behaves as PredictWith (never escalated).
 func (p *Predictor) PredictCascadeWith(s *EncoderScratch, g *graph.Graph) (class int, escalated bool) {
-	cs := p.cascade.Load()
-	if cs == nil {
-		return p.PredictWith(s, g), false
-	}
-	if !s.prepareGroups(g) {
-		// Labeled-extension and edgeless graphs sit outside the packed
-		// fast path; decide them at full width, counted as escalations.
-		return p.PredictWith(s, g), true
-	}
-	e := p.enc
-	out := s.prefixOut(cs.cfg.DPrefix)
-	s.counter.SetDim(cs.cfg.DPrefix)
-	if s.smallSignReady() {
-		s.counter.SignXorPairsSmallInto(s.pairs, e.packedTie, out)
-	} else {
-		s.feedCounter()
-		s.counter.SignBinaryInto(e.packedTie, out)
-	}
-	s.counter.SetDim(e.cfg.Dimension)
-	best, _, bestH, secondH := cs.pm.ClassifyTop2(out)
-	if secondH-bestH > cs.cfg.Margin {
-		return best, false
-	}
-	var hv *hdc.Binary
-	if s.smallSignReady() {
-		hv = s.counter.SignXorPairsSmallInto(s.pairs, e.packedTie, s.packed)
-	} else {
-		s.feedCounter()
-		hv = s.counter.SignBinaryInto(e.packedTie, s.packed)
-	}
-	return p.pm.Classify(hv), true
-}
-
-// PredictBatchCascadeWith is the serving cascade primitive: it encodes
-// the whole micro-batch ONCE at stage-1 width through the shared operand
-// plan, returns every unambiguous stage-1 answer, and escalates only the
-// ambiguous graphs to full width — reusing the batch's already-computed
-// centrality ranks and rank-pair grouping, so an escalation pays one
-// extra full-width sign, not a second ranking pass. Classes land in out
-// (len(out) must equal len(graphs)); the counts of stage-1 decisions and
-// escalations feed the serve metrics. Graphs outside the packed fast
-// path (labeled extension, edgeless) are decided at full dimension and
-// counted as escalations. Without an active cascade it falls back to
-// PredictBatchWith and reports zero for both counters.
-func (p *Predictor) PredictBatchCascadeWith(s *BatchScratch, graphs []*graph.Graph, out []int) (stage1, escalated int) {
-	return p.PredictBatchCascadeTraced(s, graphs, out, nil)
-}
-
-// PredictBatchCascadeTraced is PredictBatchCascadeWith with an optional
-// stage clock: when tr is non-nil, the plan/encode/classify/escalate
-// phase wall times land in it. The cascade runs in four phases — plan at
-// stage-1 width, sign every graph into per-graph prefix buffers, run the
-// stage-1 margin test over all of them collecting the ambiguous indices,
-// then escalate that worklist at full width — so each stamp is one clock
-// read per phase, never per graph. Classes and counters are identical to
-// PredictBatchCascadeWith.
-func (p *Predictor) PredictBatchCascadeTraced(s *BatchScratch, graphs []*graph.Graph, out []int, tr *BatchTrace) (stage1, escalated int) {
-	cs := p.cascade.Load()
-	if cs == nil {
-		p.PredictBatchTraced(s, graphs, out, tr)
-		return 0, 0
-	}
-	if s.enc != p.enc {
-		panic("core: batch scratch bound to a different encoder")
-	}
-	if len(out) != len(graphs) {
-		panic(fmt.Sprintf("core: %d results for %d graphs", len(out), len(graphs)))
-	}
-	dp := cs.cfg.DPrefix
-	full := p.enc.cfg.Dimension
-	var t time.Time
-	if tr != nil {
-		t = time.Now()
-	}
-	s.planBatchWidth(graphs, dp)
-	if tr != nil {
-		t = tr.stamp(&tr.PlanNanos, t)
-	}
-	// Encode phase: sign every fast-path graph at stage-1 width into its
-	// own prefix buffer; graphs outside the packed fast path join the
-	// escalation worklist (decided at full dimension below, counted as
-	// escalations, exactly as the per-graph path does).
-	pouts := s.prefixOuts(dp, len(graphs))
-	s.counter.SetDim(dp)
-	s.fbIdx = s.fbIdx[:0]
-	for gi := range graphs {
-		if !s.signPackedInto(gi, pouts[gi]) {
-			s.fbIdx = append(s.fbIdx, int32(gi))
-		}
-	}
-	if tr != nil {
-		t = tr.stamp(&tr.EncodeNanos, t)
-	}
-	// Classify phase: the stage-1 margin test. Ambiguous graphs are only
-	// recorded here; the full-width work is batched into the next phase.
-	s.escIdx = s.escIdx[:0]
-	for gi := range graphs {
-		if s.keyOff[gi] == s.keyOff[gi+1] {
-			continue // outside the fast path, already on fbIdx
-		}
-		best, _, bestH, secondH := cs.pm.ClassifyTop2(pouts[gi])
-		if secondH-bestH > cs.cfg.Margin {
-			out[gi] = best
-			stage1++
-		} else {
-			s.escIdx = append(s.escIdx, int32(gi))
-		}
-	}
-	if tr != nil {
-		t = tr.stamp(&tr.ClassifyNanos, t)
-	}
-	// Escalate phase: re-sign the ambiguous graphs at full width straight
-	// off the basis table (the plan slab is prefix-width, but the sorted
-	// key segments and basis snapshot are width-independent), then decide
-	// the fallback graphs through the reference encoder (pooled scratch;
-	// the batch counter's width is untouched). Restores the counter's
-	// full-width invariant for PredictBatchWith.
-	s.counter.SetDim(full)
-	for _, gi := range s.escIdx {
-		s.signDirectInto(int(gi), s.packed)
-		out[gi] = p.pm.Classify(s.packed)
-		escalated++
-	}
-	for _, gi := range s.fbIdx {
-		out[gi] = p.pm.Classify(p.enc.EncodeGraphPacked(graphs[gi]))
-		escalated++
-	}
-	if tr != nil {
-		tr.stamp(&tr.EscalateNanos, t)
-	}
-	return stage1, escalated
+	return p.predictOne(s, g, p.cascade.Load())
 }

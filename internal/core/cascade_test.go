@@ -97,115 +97,10 @@ func TestPrefixEncodeMatchesSlicedAllDatasets(t *testing.T) {
 	}
 }
 
-// TestCascadeBatchMatchesSingleAllDatasets checks the batch cascade
-// primitive against the per-graph one on every dataset: identical
-// classes, consistent stage-1/escalation accounting, and a clean
-// restore of the scratch's full-width invariant afterwards.
-func TestCascadeBatchMatchesSingleAllDatasets(t *testing.T) {
-	for _, name := range dataset.Names() {
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			count := 24
-			if name == "DD" {
-				count = 6
-			}
-			ds, err := dataset.Generate(name, dataset.Options{Seed: 29, GraphCount: count})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := testConfig()
-			m, err := Train(cfg, ds.Graphs, ds.Labels)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pred := m.Snapshot()
-			// A mid-band margin so both stage-1 exits and escalations occur.
-			if err := pred.SetCascade(Cascade{DPrefix: 256, Margin: 8}); err != nil {
-				t.Fatal(err)
-			}
-			es := pred.Encoder().NewScratch()
-			bs := pred.Encoder().NewBatchScratch()
-			for _, size := range []int{1, 7, 24} {
-				for lo := 0; lo < len(ds.Graphs); lo += size {
-					hi := min(lo+size, len(ds.Graphs))
-					batch := ds.Graphs[lo:hi]
-					out := make([]int, len(batch))
-					s1, esc := pred.PredictBatchCascadeWith(bs, batch, out)
-					if s1+esc != len(batch) {
-						t.Fatalf("size %d: stage1 %d + escalated %d != %d graphs", size, s1, esc, len(batch))
-					}
-					for i, g := range batch {
-						want, wantEsc := pred.PredictCascadeWith(es, g)
-						if out[i] != want {
-							t.Fatalf("size %d: graph %d cascade batch class %d, single %d", size, lo+i, out[i], want)
-						}
-						_ = wantEsc
-					}
-				}
-			}
-
-			// Escalation accounting agrees between the two primitives.
-			out := make([]int, len(ds.Graphs))
-			_, esc := pred.PredictBatchCascadeWith(bs, ds.Graphs, out)
-			singleEsc := 0
-			for _, g := range ds.Graphs {
-				if _, e := pred.PredictCascadeWith(es, g); e {
-					singleEsc++
-				}
-			}
-			if esc != singleEsc {
-				t.Fatalf("batch escalated %d graphs, single path %d", esc, singleEsc)
-			}
-
-			// The scratch serves full-width batches correctly afterwards.
-			full := make([]int, len(ds.Graphs))
-			pred.PredictBatchWith(bs, ds.Graphs, full)
-			for i, g := range ds.Graphs {
-				if want := pred.Predict(g); full[i] != want {
-					t.Fatalf("post-cascade full-width batch class %d, want %d", full[i], want)
-				}
-			}
-
-			// An always-escalate margin reproduces full-dimension output
-			// exactly (every stage-1 margin is at most DPrefix).
-			if err := pred.SetCascade(Cascade{DPrefix: 256, Margin: 256}); err != nil {
-				t.Fatal(err)
-			}
-			s1, esc := pred.PredictBatchCascadeWith(bs, ds.Graphs, out)
-			if s1 != 0 {
-				t.Fatalf("always-escalate margin left %d stage-1 decisions", s1)
-			}
-			if esc != len(ds.Graphs) {
-				t.Fatalf("always-escalate margin escalated %d of %d", esc, len(ds.Graphs))
-			}
-			for i := range out {
-				if out[i] != full[i] {
-					t.Fatalf("graph %d: escalated class %d differs from full-width %d", i, out[i], full[i])
-				}
-			}
-
-			// Clearing the cascade reverts to single-stage behavior.
-			pred.ClearCascade()
-			if _, on := pred.Cascade(); on {
-				t.Fatal("Cascade() reports active after ClearCascade")
-			}
-			s1, esc = pred.PredictBatchCascadeWith(bs, ds.Graphs, out)
-			if s1 != 0 || esc != 0 {
-				t.Fatalf("cleared cascade reported counters %d/%d", s1, esc)
-			}
-			for i := range out {
-				if out[i] != full[i] {
-					t.Fatalf("graph %d: cleared-cascade class %d differs from full-width %d", i, out[i], full[i])
-				}
-			}
-		})
-	}
-}
-
-// TestCascadeMixedWidthScratch drives one batch scratch through an
-// alternating sequence of cascade and full-width batches at two different
-// prefix widths — the serving reload scenario — checking every answer
-// against fresh single-graph predictions.
+// TestCascadeMixedWidthScratch drives one scratch through an alternating
+// sequence of cascade and full-width batches at two different prefix
+// widths — the serving reload scenario — checking every answer against
+// single-graph predictions on a scratch that never changes width.
 func TestCascadeMixedWidthScratch(t *testing.T) {
 	ds, err := dataset.Generate("ENZYMES", dataset.Options{Seed: 31, GraphCount: 18})
 	if err != nil {
@@ -217,21 +112,21 @@ func TestCascadeMixedWidthScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	pred := m.Snapshot()
-	bs := pred.Encoder().NewBatchScratch()
-	es := pred.Encoder().NewScratch()
+	s := pred.Encoder().NewScratch()
 	out := make([]int, len(ds.Graphs))
 	widths := []Cascade{{DPrefix: 128, Margin: 6}, {DPrefix: 1000, Margin: 40}, {DPrefix: 128, Margin: 6}}
 	for round, c := range widths {
 		if err := pred.SetCascade(c); err != nil {
 			t.Fatal(err)
 		}
-		pred.PredictBatchCascadeWith(bs, ds.Graphs, out)
+		pred.PredictInto(s, ds.Graphs, out, nil)
 		for i, g := range ds.Graphs {
-			if want, _ := pred.PredictCascadeWith(es, g); out[i] != want {
+			if want, _ := pred.PredictCascadeWith(pred.Encoder().NewScratch(), g); out[i] != want {
 				t.Fatalf("round %d (dp=%d): graph %d class %d, want %d", round, c.DPrefix, i, out[i], want)
 			}
 		}
-		pred.PredictBatchWith(bs, ds.Graphs, out)
+		pred.ClearCascade()
+		pred.PredictInto(s, ds.Graphs, out, nil)
 		for i, g := range ds.Graphs {
 			if want := pred.Predict(g); out[i] != want {
 				t.Fatalf("round %d: full-width graph %d class %d, want %d", round, i, out[i], want)
@@ -330,9 +225,8 @@ func TestPredictCascadeEdgeless(t *testing.T) {
 	}
 	edgeless := graph.NewBuilder(3).Build()
 	batch := []*graph.Graph{gs[0], edgeless, gs[1]}
-	bs := pred.Encoder().NewBatchScratch()
 	out := make([]int, len(batch))
-	s1, esc := pred.PredictBatchCascadeWith(bs, batch, out)
+	s1, esc := pred.PredictInto(pred.Encoder().NewScratch(), batch, out, nil)
 	if s1+esc != len(batch) || esc < 1 {
 		t.Fatalf("edgeless batch accounting: stage1 %d escalated %d", s1, esc)
 	}

@@ -91,13 +91,10 @@ type Encoder struct {
 	packedMu sync.RWMutex
 	packed   []*hdc.Binary
 
-	// scratch pools per-goroutine EncoderScratch values so the one-shot
-	// encode/rank APIs run allocation-free in steady state; the batch APIs
-	// check scratches out for a whole worker lifetime instead.
+	// scratch pools EncoderScratch values so the one-shot encode/rank
+	// APIs and the chunked Fit/PredictAll adopters run allocation-free in
+	// steady state.
 	scratch sync.Pool
-	// batchScratch pools BatchScratch values for the cross-graph batch
-	// encoding tier (EncodeBatch, the chunked Fit/PredictAll adopters).
-	batchScratch sync.Pool
 }
 
 type rankLabelKey struct {
@@ -123,7 +120,6 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 	}
 	e.packedTie = e.tie.PackBinary()
 	e.scratch.New = func() any { return e.NewScratch() }
-	e.batchScratch.New = func() any { return e.NewBatchScratch() }
 	return e, nil
 }
 
@@ -216,7 +212,9 @@ func (e *Encoder) rankLabelVector(rank, label int) *hdc.Bipolar {
 func (e *Encoder) EncodeGraph(g *graph.Graph) *hdc.Bipolar {
 	s := e.getScratch()
 	defer e.putScratch(s)
-	return s.encodeGraphNew(g)
+	var out [1]*hdc.Bipolar
+	s.encodeBipolarNew([]*graph.Graph{g}, out[:])
+	return out[0]
 }
 
 // EncodeGraphPacked is EncodeGraph without the int8 detour: the bundle is
@@ -227,7 +225,7 @@ func (e *Encoder) EncodeGraph(g *graph.Graph) *hdc.Bipolar {
 func (e *Encoder) EncodeGraphPacked(g *graph.Graph) *hdc.Binary {
 	s := e.getScratch()
 	defer e.putScratch(s)
-	return s.encodeGraphPackedNew(g)
+	return s.EncodeGraphPacked(g).Clone()
 }
 
 // encodeGraphSlow is the reference int8 implementation of Enc_G.

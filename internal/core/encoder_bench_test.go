@@ -164,51 +164,6 @@ func BenchmarkEncodeRanks(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeBatch is the acceptance benchmark of the cross-graph
-// batch tier: 32 ENZYMES graphs encoded through one shared, deduplicated
-// operand plan on a reused BatchScratch, 0 allocs/op steady-state. The
-// per-graph metric is directly comparable to BenchmarkEncodeScratchPacked.
-func BenchmarkEncodeBatch(b *testing.B) {
-	ds, err := dataset.Generate("ENZYMES", dataset.Options{Seed: 2, GraphCount: 32})
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc := MustNewEncoder(DefaultConfig())
-	bs := enc.NewBatchScratch()
-	bs.EncodeBatch(ds.Graphs)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bs.EncodeBatch(ds.Graphs)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ds.Graphs)), "ns/graph")
-}
-
-// BenchmarkEncodeBatchSingle re-times the same 32-graph workload through
-// the per-graph scratch path, so the batch tier's dedup win stays
-// measurable in one run.
-func BenchmarkEncodeBatchSingle(b *testing.B) {
-	ds, err := dataset.Generate("ENZYMES", dataset.Options{Seed: 2, GraphCount: 32})
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc := MustNewEncoder(DefaultConfig())
-	s := enc.NewScratch()
-	for _, g := range ds.Graphs {
-		s.EncodeGraphPacked(g)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, g := range ds.Graphs {
-			s.EncodeGraphPacked(g)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ds.Graphs)), "ns/graph")
-}
-
 // BenchmarkEncodeScratchPackedDim sweeps the encode hot path across query
 // widths on ONE full-dimension encoder: EncodeGraphPackedPrefix narrows
 // the carry-save counter to the leading ⌈d/64⌉ words at call time, so the

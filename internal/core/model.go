@@ -90,19 +90,16 @@ func (m *Model) Fit(graphs []*graph.Graph, labels []int) error {
 
 // encodeAll encodes graphs across the shared worker pool, preserving
 // order. Work is distributed in contiguous chunks of encodeBatchChunk
-// graphs, each encoded through one shared cross-graph operand plan
-// (BatchScratch), so basis-table words are loaded once per chunk rather
-// than once per graph; only the retained output hypervectors are
-// allocated.
+// graphs, each ranked and encoded on one pooled scratch; only the
+// retained output hypervectors are allocated.
 func (m *Model) encodeAll(graphs []*graph.Graph) []*hdc.Bipolar {
 	m.enc.reserveFor(graphs)
 	encoded := make([]*hdc.Bipolar, len(graphs))
 	chunks := (len(graphs) + encodeBatchChunk - 1) / encodeBatchChunk
-	workers := parallel.Workers(0, chunks)
-	scratches := m.enc.newBatchScratchSet(workers)
-	defer scratches.release()
-	parallel.ForEachChunk(workers, len(graphs), encodeBatchChunk, func(w, lo, hi int) {
-		scratches.get(w).encodeBipolarNew(graphs[lo:hi], encoded[lo:hi])
+	parallel.ForEachChunk(parallel.Workers(0, chunks), len(graphs), encodeBatchChunk, func(_, lo, hi int) {
+		s := m.enc.getScratch()
+		defer m.enc.putScratch(s)
+		s.encodeBipolarNew(graphs[lo:hi], encoded[lo:hi])
 	})
 	return encoded
 }

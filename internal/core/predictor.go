@@ -87,14 +87,15 @@ func (p *Predictor) ClassVector(c int) *hdc.Binary { return p.pm.ClassVector(c) 
 // words). Compare Model.MemoryBytes.
 func (p *Predictor) MemoryBytes() int { return p.pm.MemoryBytes() }
 
-// Predict returns the predicted class of g. The graph is encoded directly
-// to a bit-packed hypervector held in a pooled scratch and classified by
-// Hamming distance; no int8 intermediate is materialized and steady-state
-// prediction of unlabeled graphs performs zero heap allocations.
+// Predict returns the predicted class of g at full width. The graph is
+// encoded directly to a bit-packed hypervector held in a pooled scratch
+// and classified by Hamming distance; no int8 intermediate is
+// materialized and steady-state prediction of unlabeled graphs performs
+// zero heap allocations.
 func (p *Predictor) Predict(g *graph.Graph) int {
 	s := p.enc.getScratch()
 	defer p.enc.putScratch(s)
-	return p.pm.Classify(s.EncodeGraphPacked(g))
+	return p.PredictWith(s, g)
 }
 
 // PredictEncoded classifies an already packed graph-hypervector.
@@ -102,21 +103,17 @@ func (p *Predictor) PredictEncoded(hv *hdc.Binary) int {
 	return p.pm.Classify(hv)
 }
 
-// PredictWith classifies g through a caller-owned scratch, the serving
-// primitive: a long-lived worker holds one scratch for its lifetime and
-// predicts with zero per-request heap allocations and zero pool traffic.
-// Encoding runs the blocked carry-save edge accumulation (rank-pair
-// grouping + hdc.BitCounter.AddXorPairs), so the scratch's grouping
-// buffers amortize across the worker's whole request stream. s must have
-// been vended by p.Encoder().NewScratch(); the result is written into s's
-// buffers, so s must not be shared across goroutines.
+// PredictWith classifies g at full width through a caller-owned scratch:
+// PredictInto over the one-graph batch {g}, ignoring any cascade. s must
+// have been vended by p.Encoder().NewScratch() and must not be shared
+// across goroutines.
 func (p *Predictor) PredictWith(s *EncoderScratch, g *graph.Graph) int {
-	return p.pm.Classify(s.EncodeGraphPacked(g))
+	class, _ := p.predictOne(s, g, nil)
+	return class
 }
 
-// PredictAll classifies a batch of graphs across the shared worker pool,
-// preserving order. Each worker owns one pooled EncoderScratch, so the
-// whole batch encodes and classifies without per-graph heap allocations.
+// PredictAll classifies a batch of graphs at full width across the
+// shared worker pool, preserving order.
 func (p *Predictor) PredictAll(graphs []*graph.Graph) []int {
 	return p.PredictAllWorkers(graphs, 0)
 }
@@ -125,16 +122,16 @@ func (p *Predictor) PredictAll(graphs []*graph.Graph) []int {
 // the parallel.Workers convention: non-positive uses all cores, and
 // workers == 1 classifies sequentially on the calling goroutine (timing
 // fidelity). Note this differs from CrossValidateOptions.Workers, whose
-// zero value stays sequential.
+// zero value stays sequential. Each chunk of encodeBatchChunk graphs runs
+// through the batch primitive on a pooled scratch.
 func (p *Predictor) PredictAllWorkers(graphs []*graph.Graph, workers int) []int {
 	p.enc.reserveFor(graphs)
 	out := make([]int, len(graphs))
 	chunks := (len(graphs) + encodeBatchChunk - 1) / encodeBatchChunk
-	w := parallel.Workers(workers, chunks)
-	scratches := p.enc.newBatchScratchSet(w)
-	defer scratches.release()
-	parallel.ForEachChunk(w, len(graphs), encodeBatchChunk, func(w, lo, hi int) {
-		p.PredictBatchWith(scratches.get(w), graphs[lo:hi], out[lo:hi])
+	parallel.ForEachChunk(parallel.Workers(workers, chunks), len(graphs), encodeBatchChunk, func(_, lo, hi int) {
+		s := p.enc.getScratch()
+		defer p.enc.putScratch(s)
+		p.predict(s, graphs[lo:hi], out[lo:hi], nil, nil)
 	})
 	return out
 }

@@ -11,18 +11,37 @@ import (
 
 // EncoderScratch holds every reusable buffer one encoding goroutine needs:
 // the centrality scratch (PageRank power-iteration vectors and the rank
-// sort order), the rank slice, the SWAR majority counter, and the output
-// hypervectors. Once its buffers have grown to the largest graph seen,
-// encoding an unlabeled graph with edges performs zero heap allocations —
-// the property that makes the encode pipeline, now ~90% of end-to-end
-// predict latency, allocation-free in steady state.
+// sort order), the rank slice, the SWAR majority counter, the rank-pair
+// buffers and the output hypervectors. Once its buffers have grown to the
+// largest batch seen, encoding and predicting unlabeled graphs with edges
+// performs zero heap allocations.
+//
+// Encoding runs in two phases over a slice of graphs — a single-graph
+// call is a one-graph slice:
+//
+//   - Rank phase (rankAll): each graph's centrality ranks become one
+//     sorted segment of packed (minRank, maxRank) keys, keys[keyOff[i]:
+//     keyOff[i+1]], and one basis-table snapshot covers the whole slice.
+//   - Encode phase (group + signInto / fillCounter): a segment is
+//     run-length-grouped into hdc.XorPairs read from the snapshot and
+//     accumulated at the counter's current width.
+//
+// The grouping exploits the paper's structure instead of walking edges
+// one by one: an edge's bind vector depends only on the unordered
+// (rank_u, rank_v) pair of its endpoints (XNOR is commutative), so edges
+// are grouped by rank pair in sorted rank order. Multiplicity-1 pairs —
+// all of them, for simple graphs under bijective centrality ranks — feed
+// the blocked carry-save kernels; the rare multiplicity-grouped pairs go
+// through AddXorWeighted. Bundling counts are exact integer sums, so the
+// encoding is bit-for-bit identical to the per-edge scalar path. Every
+// input of the encode phase is width-independent, which is what lets the
+// cascade re-sign a graph at full width without ranking it again.
 //
 // Obtain one from Encoder.NewScratch (or implicitly through the Encoder
-// and Predictor APIs, which vend pooled scratches per call or per batch
-// worker). A scratch is bound to its encoder and is not safe for
-// concurrent use; each goroutine owns its own. Results returned by the
-// scratch's Encode/Ranks methods live in its buffers and are only valid
-// until the next call on the same scratch.
+// and Predictor APIs, which vend pooled scratches per call or per chunk).
+// A scratch is bound to its encoder and is not safe for concurrent use;
+// each goroutine owns its own. Results returned by the scratch's methods
+// live in its buffers and are only valid until the next call on it.
 type EncoderScratch struct {
 	enc     *Encoder
 	cent    centrality.Scratch
@@ -30,26 +49,34 @@ type EncoderScratch struct {
 	counter *hdc.BitCounter
 	packed  *hdc.Binary
 	bipolar *hdc.Bipolar
-	// Rank-pair grouping buffers for the blocked edge accumulation:
-	// edgeKeys holds one packed (minRank, maxRank) key per edge, pairs
-	// holds the multiplicity-1 XNOR operand list handed to
-	// BitCounter.AddXorPairs, and wPairs/wMults hold the rare
-	// multiplicity-grouped operands. All grow to the largest edge count
-	// seen and are then reused, keeping the blocked path at zero
-	// allocations.
-	edgeKeys []uint64
-	pairs    []hdc.XorPair
-	wPairs   []hdc.XorPair
-	wMults   []int32
 
-	// pout is the reusable output vector for prefix-width encodes
-	// (EncodeGraphPackedPrefix); it re-allocates only when the requested
-	// width changes, so one cascade configuration encodes allocation-free.
+	// Rank phase: per-graph sorted key segments (empty for graphs outside
+	// the packed fast path) and the basis snapshot they index.
+	keys   []uint64
+	keyOff []int
+	basis  []*hdc.Binary
+
+	// Encode phase: one segment's multiplicity-1 pairs and its rare
+	// multiplicity-grouped ones.
+	pairs  []hdc.XorPair
+	wPairs []hdc.XorPair
+	wMults []int32
+
+	// PredictInto worklists: per-graph sign buffers at width outsD
+	// (rebuilt only when the width changes), the graphs the classify
+	// phase escalates, and the graphs outside the packed fast path.
+	outs   []*hdc.Binary
+	outsD  int
+	escIdx []int32
+	fbIdx  []int32
+
+	// pout is the reusable output of EncodeGraphPackedPrefix; it
+	// re-allocates only when the requested width changes.
 	pout *hdc.Binary
 }
 
 // NewScratch returns a fresh scratch bound to e, for callers that manage
-// per-goroutine reuse themselves (the batch APIs and the benchmark
+// per-goroutine reuse themselves (serving workers, the benchmark
 // harness). Everything else can rely on the pooled scratches behind
 // EncodeGraph / EncodeGraphPacked / Ranks.
 func (e *Encoder) NewScratch() *EncoderScratch {
@@ -81,67 +108,75 @@ func (s *EncoderScratch) Ranks(g *graph.Graph) []int {
 	return s.ranks
 }
 
-// prepareGroups runs the rank-pair grouping of Enc_G's edge loop without
-// touching the counter, reporting whether the packed fast path applies
-// (it does not for the labeled extension or edgeless graphs — see
-// Encoder.EncodeGraph).
-//
-// The grouping exploits the paper's structure instead of walking edges
-// one by one: an edge's bind vector depends only on the unordered
-// (rank_u, rank_v) pair of its endpoints (XNOR is commutative), so edges
-// are grouped by rank pair in sorted rank order. Multiplicity-1 pairs —
-// all of them, for simple graphs under bijective centrality ranks — land
-// in s.pairs for the blocked carry-save kernels; the rare
-// multiplicity-grouped pairs land in s.wPairs/s.wMults. Bundling counts
-// are exact integer sums, so regrouping and reordering leave the
-// encoding bit-for-bit identical to the per-edge scalar path.
-func (s *EncoderScratch) prepareGroups(g *graph.Graph) bool {
+// rankAll is the rank phase: it appends one sorted rank-pair key segment
+// per graph and snapshots the basis table once for the whole slice.
+// Graphs outside the packed fast path — the labeled extension and
+// edgeless graphs, see Encoder.EncodeGraph — get an empty segment.
+func (s *EncoderScratch) rankAll(graphs []*graph.Graph) {
 	e := s.enc
-	if e.cfg.UseVertexLabels && g.Labeled() {
-		return false
-	}
-	edges := g.Edges()
-	if len(edges) == 0 {
-		return false
-	}
-	ranks := s.Ranks(g)
-	packed := e.packedSlice(g.NumVertices())
-	keys := s.edgeKeys[:0]
-	for _, ed := range edges {
-		ru, rv := ranks[ed.U], ranks[ed.V]
-		if ru > rv {
-			ru, rv = rv, ru
+	s.keys = s.keys[:0]
+	s.keyOff = append(s.keyOff[:0], 0)
+	maxN := 0
+	for _, g := range graphs {
+		if !(e.cfg.UseVertexLabels && g.Labeled()) && g.NumEdges() > 0 {
+			maxN = max(maxN, g.NumVertices())
+			ranks := s.Ranks(g)
+			lo := len(s.keys)
+			for _, ed := range g.Edges() {
+				ru, rv := ranks[ed.U], ranks[ed.V]
+				if ru > rv {
+					ru, rv = rv, ru
+				}
+				s.keys = append(s.keys, uint64(ru)<<32|uint64(uint32(rv)))
+			}
+			slices.Sort(s.keys[lo:])
 		}
-		keys = append(keys, uint64(ru)<<32|uint64(uint32(rv)))
+		s.keyOff = append(s.keyOff, len(s.keys))
 	}
-	slices.Sort(keys)
-	pairs := s.pairs[:0]
-	wPairs := s.wPairs[:0]
-	wMults := s.wMults[:0]
-	for i := 0; i < len(keys); {
+	// One lock round for the whole slice; entries are immutable, so the
+	// snapshot stays valid after later growth.
+	s.basis = e.packedSlice(maxN)
+}
+
+// rankOne is rankAll over the one-graph slice {g}.
+func (s *EncoderScratch) rankOne(g *graph.Graph) {
+	one := [1]*graph.Graph{g}
+	s.rankAll(one[:])
+}
+
+// group is the encode phase's grouping step: it run-length-walks graph
+// gi's sorted key segment into s.pairs (multiplicity 1) and
+// s.wPairs/s.wMults (grouped), each pair the XNOR of two basis vectors.
+// Reports false for an empty segment (a graph outside the fast path).
+func (s *EncoderScratch) group(gi int) bool {
+	seg := s.keys[s.keyOff[gi]:s.keyOff[gi+1]]
+	if len(seg) == 0 {
+		return false
+	}
+	pairs, wPairs, wMults := s.pairs[:0], s.wPairs[:0], s.wMults[:0]
+	for i := 0; i < len(seg); {
 		j := i + 1
-		for j < len(keys) && keys[j] == keys[i] {
+		for j < len(seg) && seg[j] == seg[i] {
 			j++
 		}
 		// XNOR of the packed endpoints is exactly the bipolar product
 		// under the bit 1 ↔ +1 mapping.
-		ru, rv := int(keys[i]>>32), int(uint32(keys[i]))
+		p := hdc.XorPair{A: s.basis[seg[i]>>32], B: s.basis[uint32(seg[i])], Invert: true}
 		if j-i == 1 {
-			pairs = append(pairs, hdc.XorPair{A: packed[ru], B: packed[rv], Invert: true})
+			pairs = append(pairs, p)
 		} else {
-			wPairs = append(wPairs, hdc.XorPair{A: packed[ru], B: packed[rv], Invert: true})
+			wPairs = append(wPairs, p)
 			wMults = append(wMults, int32(j-i))
 		}
 		i = j
 	}
-	s.edgeKeys, s.pairs, s.wPairs, s.wMults = keys, pairs, wPairs, wMults
+	s.pairs, s.wPairs, s.wMults = pairs, wPairs, wMults
 	return true
 }
 
-// feedCounter streams the prepared groups into the scratch counter: the
-// multiplicity-1 pairs through the blocked carry-save front end, the
-// grouped ones with their multiplicities.
-func (s *EncoderScratch) feedCounter() {
+// feed accumulates the grouped pairs into the reset scratch counter at
+// its current width.
+func (s *EncoderScratch) feed() {
 	c := s.counter
 	c.Reset()
 	c.AddXorPairs(s.pairs)
@@ -150,22 +185,45 @@ func (s *EncoderScratch) feedCounter() {
 	}
 }
 
-// fillCounter is prepareGroups + feedCounter, the general accumulation
-// path for callers that need the counter filled (bipolar outputs).
-func (s *EncoderScratch) fillCounter(g *graph.Graph) bool {
-	if !s.prepareGroups(g) {
+// fillCounter is group + feed, reporting whether the fast path applies.
+func (s *EncoderScratch) fillCounter(gi int) bool {
+	if !s.group(gi) {
 		return false
 	}
-	s.feedCounter()
+	s.feed()
 	return true
 }
 
-// smallSignReady reports whether the prepared groups qualify for the
-// one-shot bit-sliced majority kernel: unit multiplicities only (always
-// true for simple graphs under bijective ranks) and a bundle small
-// enough to count in six planes.
-func (s *EncoderScratch) smallSignReady() bool {
-	return len(s.wPairs) == 0 && len(s.pairs) > 0 && len(s.pairs) <= hdc.MaxSmallSign
+// signInto encodes graph gi into dst at the counter's current width
+// (dst must have that width), reporting whether the fast path applies.
+// Bundles of up to hdc.MaxSmallSign unit-multiplicity pairs — the common
+// serving case — skip the counter tiers through the one-shot bit-sliced
+// majority kernel.
+func (s *EncoderScratch) signInto(gi int, dst *hdc.Binary) bool {
+	if !s.group(gi) {
+		return false
+	}
+	if len(s.wPairs) == 0 && len(s.pairs) <= hdc.MaxSmallSign {
+		s.counter.SignXorPairsSmallInto(s.pairs, s.enc.packedTie, dst)
+		return true
+	}
+	s.feed()
+	s.counter.SignBinaryInto(s.enc.packedTie, dst)
+	return true
+}
+
+// outBufs returns n reusable d-dimensional sign buffers, one per batch
+// graph. They are rebuilt only when the width changes (a hot swap to a
+// model with a different cascade prefix).
+func (s *EncoderScratch) outBufs(d, n int) []*hdc.Binary {
+	if s.outsD != d {
+		s.outs = s.outs[:0]
+		s.outsD = d
+	}
+	for len(s.outs) < n {
+		s.outs = append(s.outs, hdc.NewBinary(d))
+	}
+	return s.outs[:n]
 }
 
 // EncodeGraph is Encoder.EncodeGraph writing into the scratch's reusable
@@ -173,7 +231,8 @@ func (s *EncoderScratch) smallSignReady() bool {
 // call on s. (The labeled-extension and edgeless fallbacks still return a
 // freshly allocated vector — they are off the hot path by construction.)
 func (s *EncoderScratch) EncodeGraph(g *graph.Graph) *hdc.Bipolar {
-	if s.fillCounter(g) {
+	s.rankOne(g)
+	if s.fillCounter(0) {
 		return s.counter.SignBipolarInto(s.enc.tie, s.bipolar)
 	}
 	return s.enc.encodeGraphSlow(g)
@@ -181,26 +240,13 @@ func (s *EncoderScratch) EncodeGraph(g *graph.Graph) *hdc.Bipolar {
 
 // EncodeGraphPacked is Encoder.EncodeGraphPacked writing into the
 // scratch's reusable packed hypervector on the fast path; the result is
-// valid until the next call on s. Bundles of up to hdc.MaxSmallSign
-// unit-multiplicity edges — the common serving case — skip the counter
-// tiers entirely via the one-shot bit-sliced majority kernel.
+// valid until the next call on s.
 func (s *EncoderScratch) EncodeGraphPacked(g *graph.Graph) *hdc.Binary {
-	if s.prepareGroups(g) {
-		if s.smallSignReady() {
-			return s.counter.SignXorPairsSmallInto(s.pairs, s.enc.packedTie, s.packed)
-		}
-		s.feedCounter()
-		return s.counter.SignBinaryInto(s.enc.packedTie, s.packed)
+	s.rankOne(g)
+	if s.signInto(0, s.packed) {
+		return s.packed
 	}
 	return s.enc.encodeGraphSlow(g).PackBinary()
-}
-
-// prefixOut returns the scratch's reusable d-dimensional output buffer.
-func (s *EncoderScratch) prefixOut(d int) *hdc.Binary {
-	if s.pout == nil || s.pout.Dim() != d {
-		s.pout = hdc.NewBinary(d)
-	}
-	return s.pout
 }
 
 // EncodeGraphPackedPrefix encodes the first d components of Enc_G(g) —
@@ -220,42 +266,31 @@ func (s *EncoderScratch) EncodeGraphPackedPrefix(g *graph.Graph, d int) *hdc.Bin
 	if d < 1 || d > e.cfg.Dimension {
 		panic(fmt.Sprintf("core: prefix dimension %d outside [1,%d]", d, e.cfg.Dimension))
 	}
-	if s.prepareGroups(g) {
-		out := s.prefixOut(d)
-		s.counter.SetDim(d)
-		if s.smallSignReady() {
-			s.counter.SignXorPairsSmallInto(s.pairs, e.packedTie, out)
-		} else {
-			s.feedCounter()
-			s.counter.SignBinaryInto(e.packedTie, out)
-		}
-		s.counter.SetDim(e.cfg.Dimension)
-		return out
+	if s.pout == nil || s.pout.Dim() != d {
+		s.pout = hdc.NewBinary(d)
+	}
+	s.rankOne(g)
+	s.counter.SetDim(d)
+	ok := s.signInto(0, s.pout)
+	s.counter.SetDim(e.cfg.Dimension)
+	if ok {
+		return s.pout
 	}
 	// Reference fallback (labeled extension, edgeless): encode at full
 	// width and slice — exact, by the componentwise identity.
 	return e.encodeGraphSlow(g).PackBinary().PrefixCopy(d)
 }
 
-// encodeGraphNew is EncodeGraph for callers that retain the result (batch
-// training): ranks and counts accumulate in the scratch, but the signed
-// output is freshly allocated.
-func (s *EncoderScratch) encodeGraphNew(g *graph.Graph) *hdc.Bipolar {
-	if s.fillCounter(g) {
-		return s.counter.SignBipolar(s.enc.tie)
-	}
-	return s.enc.encodeGraphSlow(g)
-}
-
-// encodeGraphPackedNew is EncodeGraphPacked with a freshly allocated
-// output, for callers that retain the packed vector.
-func (s *EncoderScratch) encodeGraphPackedNew(g *graph.Graph) *hdc.Binary {
-	if s.prepareGroups(g) {
-		if s.smallSignReady() {
-			return s.counter.SignXorPairsSmallInto(s.pairs, s.enc.packedTie, hdc.NewBinary(s.enc.cfg.Dimension))
+// encodeBipolarNew encodes graphs into dst (len(dst) == len(graphs)) for
+// callers that retain the results (batch training): ranks and counts
+// live in the scratch, each signed output is freshly allocated.
+func (s *EncoderScratch) encodeBipolarNew(graphs []*graph.Graph, dst []*hdc.Bipolar) {
+	s.rankAll(graphs)
+	for gi, g := range graphs {
+		if s.fillCounter(gi) {
+			dst[gi] = s.counter.SignBipolar(s.enc.tie)
+		} else {
+			dst[gi] = s.enc.encodeGraphSlow(g)
 		}
-		s.feedCounter()
-		return s.counter.SignBinary(s.enc.packedTie)
 	}
-	return s.enc.encodeGraphSlow(g).PackBinary()
 }

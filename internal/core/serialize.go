@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"graphhd/internal/centrality"
 	"graphhd/internal/hdc"
@@ -146,17 +147,53 @@ func (m *Model) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// SaveFile writes the model to path.
-func (m *Model) SaveFile(path string) error {
-	f, err := os.Create(path)
+// SaveFile writes the model to path crash-safely (see saveFile).
+func (m *Model) SaveFile(path string) error { return saveFile(path, "model", m) }
+
+// saveFile writes rec to path so that no reader ever sees a torn file:
+// the record goes to a temp file in the same directory, which is synced,
+// closed and renamed over path, and the directory is then synced so the
+// rename itself survives a crash. A concurrent reload reads either the
+// old artifact or the new one, and a handle still open on the old file
+// keeps reading it intact. The temp file is removed on any error.
+func saveFile(path, what string, rec io.WriterTo) (err error) {
+	fail := func(err error) error { return fmt.Errorf("core: save %s: %w", what, err) }
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("core: save model: %w", err)
+		return fail(err)
 	}
-	if _, err := m.WriteTo(f); err != nil {
-		f.Close()
-		return err
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	// CreateTemp makes the file 0600; artifacts keep os.Create's usual mode.
+	if err := f.Chmod(0o644); err != nil {
+		return fail(err)
 	}
-	return f.Close()
+	if _, err := rec.WriteTo(f); err != nil {
+		return fail(err)
+	}
+	if err := f.Sync(); err != nil {
+		return fail(err)
+	}
+	if err := f.Close(); err != nil {
+		return fail(err)
+	}
+	if err := os.Rename(f.Name(), path); err != nil {
+		return fail(err)
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return fail(err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fail(err)
+	}
+	return nil
 }
 
 // ReadModel deserializes a model written by WriteTo.
@@ -267,18 +304,9 @@ func (p *Predictor) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// SaveFile writes the packed predictor to path.
-func (p *Predictor) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("core: save predictor: %w", err)
-	}
-	if _, err := p.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+// SaveFile writes the packed predictor to path crash-safely (see
+// saveFile).
+func (p *Predictor) SaveFile(path string) error { return saveFile(path, "predictor", p) }
 
 // ReadPredictor deserializes a packed query predictor. It accepts all
 // record versions: a GRAPHHD2/GRAPHHD3/GRAPHHD4 record loads directly

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"io"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -92,6 +94,73 @@ func TestModelSaveLoadFile(t *testing.T) {
 		if m.Predict(g) != m2.Predict(g) {
 			t.Fatal("file round trip changed predictions")
 		}
+	}
+}
+
+// TestSaveFileKeepsOldArtifactReadable saves over an artifact while a
+// handle is open on it, as a concurrent reload would: the handle must
+// still read the complete old record, the path must hold the new one,
+// and no temp file may be left behind. Truncating in place fails this.
+func TestSaveFileKeepsOldArtifactReadable(t *testing.T) {
+	train := func(seed uint64) *Model {
+		gs, ys := twoClassDataset(10, seed)
+		m, err := Train(testConfig(), gs, ys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	m1, m2 := train(33), train(34)
+	type artifact interface {
+		io.WriterTo
+		SaveFile(path string) error
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name     string
+		old, new artifact
+		load     func(io.Reader) error
+	}{
+		{"model.ghd", m1, m2, func(r io.Reader) error { _, err := ReadModel(r); return err }},
+		{"model.ghdp", m1.Snapshot(), m2.Snapshot(), func(r io.Reader) error { _, err := ReadPredictor(r); return err }},
+	} {
+		path := filepath.Join(dir, tc.name)
+		if err := tc.old.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		held, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer held.Close()
+		if err := tc.new.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		var oldRec, newRec bytes.Buffer
+		tc.old.WriteTo(&oldRec)
+		tc.new.WriteTo(&newRec)
+		got, err := io.ReadAll(held)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, oldRec.Bytes()) {
+			t.Fatalf("%s: open handle did not read the complete old artifact", tc.name)
+		}
+		if err := tc.load(bytes.NewReader(got)); err != nil {
+			t.Fatalf("%s: old artifact no longer loads: %v", tc.name, err)
+		}
+		if cur, err := os.ReadFile(path); err != nil || !bytes.Equal(cur, newRec.Bytes()) {
+			t.Fatalf("%s: path does not hold the new artifact (err %v)", tc.name, err)
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != 0o644 {
+			t.Fatalf("%s: saved artifact mode %v (err %v), want 0644", tc.name, fi.Mode(), err)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 2 {
+		t.Fatalf("save left %d directory entries (err %v), want 2", len(entries), err)
+	}
+	if err := m1.SaveFile(filepath.Join(dir, "missing", "model.ghd")); err == nil {
+		t.Fatal("save into a missing directory succeeded")
 	}
 }
 

@@ -84,33 +84,6 @@ func TestAddXorPairsInterleaved(t *testing.T) {
 	assertSameCounts(t, "interleaved", got, want)
 }
 
-// TestAddWordsBlockMatchesAdd checks the raw-word batch entry against
-// sequential Add, under every supported kernel tier.
-func TestAddWordsBlockMatchesAdd(t *testing.T) {
-	forEachKernelTier(t, testAddWordsBlockMatchesAdd)
-}
-
-func testAddWordsBlockMatchesAdd(t *testing.T) {
-	for _, d := range []int{64, 100, 517} {
-		for n := 0; n <= 30; n++ {
-			rng := NewRNG(uint64(d)*31 + uint64(n))
-			vecs := make([]*Binary, n)
-			words := make([][]uint64, n)
-			for i := range vecs {
-				vecs[i] = RandomBinary(d, rng)
-				words[i] = vecs[i].Words()
-			}
-			blocked := NewBitCounter(d)
-			blocked.AddWordsBlock(words)
-			scalar := NewBitCounter(d)
-			for _, v := range vecs {
-				scalar.Add(v)
-			}
-			assertSameCounts(t, "AddWordsBlock", blocked, scalar)
-		}
-	}
-}
-
 // TestAddXorWeightedMatchesRepeated covers both weighted implementations:
 // the chunked nibble path (weight <= 64) and the direct int32 path.
 func TestAddXorWeightedMatchesRepeated(t *testing.T) {
@@ -183,7 +156,7 @@ func testBitCounterDifferential(t *testing.T) {
 				}
 			}
 			for step := 0; step < 60; step++ {
-				switch rng.Intn(8) {
+				switch rng.Intn(7) {
 				case 0:
 					v := RandomBinary(d, rng)
 					c.Add(v)
@@ -200,36 +173,25 @@ func testBitCounterDifferential(t *testing.T) {
 						addNaive(xorBit(p.A, p.B, p.Invert), 1)
 					}
 				case 3:
-					vecs := make([][]uint64, rng.Intn(12))
-					bins := make([]*Binary, len(vecs))
-					for i := range vecs {
-						bins[i] = RandomBinary(d, rng)
-						vecs[i] = bins[i].Words()
-					}
-					c.AddWordsBlock(vecs)
-					for _, v := range bins {
-						addNaive(v.Bit, 1)
-					}
-				case 4:
 					a, b := RandomBinary(d, rng), RandomBinary(d, rng)
 					inv := rng.Intn(2) == 0
 					w := rng.Intn(90)
 					c.AddXorWeighted(a, b, inv, w)
 					addNaive(xorBit(a, b, inv), w)
-				case 5:
+				case 4:
 					c.Reset()
 					for i := range naive {
 						naive[i] = 0
 					}
 					naiveN = 0
-				case 6:
+				case 5:
 					// Observe mid-stream: flush-then-continue must not lose
 					// or double-count weight.
 					i := rng.Intn(d)
 					if got := c.CountAt(i); int64(got) != naive[i] {
 						t.Fatalf("d=%d trial=%d step=%d: CountAt(%d)=%d, want %d", d, trial, step, i, got, naive[i])
 					}
-				case 7:
+				case 6:
 					tie := RandomBinary(d, rng)
 					sign := c.SignBinary(tie)
 					tieB := tie.UnpackBipolar()

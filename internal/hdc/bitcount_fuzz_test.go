@@ -56,7 +56,7 @@ func fuzzBitCounterOps(t *testing.T, seed uint64, ops []byte) {
 			}
 		}
 		for _, op := range ops {
-			switch op % 10 {
+			switch op % 7 {
 			case 0:
 				v := RandomBinary(d, rng)
 				c.Add(v)
@@ -76,55 +76,25 @@ func fuzzBitCounterOps(t *testing.T, seed uint64, ops []byte) {
 					addNaive(xorBit(p.A, p.B, p.Invert), 1)
 				}
 			case 3:
-				vecs := make([][]uint64, rng.Intn(12))
-				for i := range vecs {
-					v := RandomBinary(d, rng)
-					vecs[i] = v.Words()
-					addNaive(v.Bit, 1)
-				}
-				c.AddWordsBlock(vecs)
-			case 4:
 				a, b := RandomBinary(d, rng), RandomBinary(d, rng)
 				inv := rng.Intn(2) == 0
 				w := rng.Intn(100)
 				c.AddXorWeighted(a, b, inv, w)
 				addNaive(xorBit(a, b, inv), w)
-			case 5:
+			case 4:
 				c.Reset()
 				for i := range naive {
 					naive[i] = 0
 				}
 				naiveN = 0
-			case 6:
+			case 5:
 				got := c.CountsInto(make([]int32, d))
 				for i := range naive {
 					if int64(got[i]) != naive[i] {
 						t.Fatalf("CountsInto[%d] = %d, want %d", i, got[i], naive[i])
 					}
 				}
-			case 7:
-				// Planned operands through the gather-free kernel, with
-				// repeated indices to model cross-graph operand sharing.
-				var plan OperandPlan
-				plan.Reset(d)
-				type pp struct{ a, b *Binary }
-				ops := make([]pp, 1+rng.Intn(6))
-				for i := range ops {
-					ops[i] = pp{RandomBinary(d, rng), RandomBinary(d, rng)}
-					plan.AppendXnor(ops[i].a, ops[i].b)
-				}
-				idxs := make([]int32, rng.Intn(24))
-				for i := range idxs {
-					idxs[i] = int32(rng.Intn(len(ops)))
-					addNaive(xorBit(ops[idxs[i]].a, ops[idxs[i]].b, true), 1)
-				}
-				c.AddPlanned(&plan, idxs)
-			case 8:
-				v := RandomBinary(d, rng)
-				w := rng.Intn(100)
-				c.AddWordsWeighted(v.Words(), w)
-				addNaive(v.Bit, w)
-			case 9:
+			case 6:
 				tie := RandomBinary(d, rng)
 				sign := c.SignBinary(tie)
 				for i := 0; i < d; i++ {

@@ -78,7 +78,7 @@ func ParseKernelTier(s string) (KernelTier, error) {
 // pre-resolved at construction, so filling it per block costs only the
 // per-block stream pointers.
 type csaArgs struct {
-	x   [8]*uint64 // +0   operand streams (raw kernels) / A streams (xor kernels); x[0] is tie for signPlanes
+	x   [8]*uint64 // +0   A streams (xor kernels); x[0] is tie for signPlanes
 	y   [8]*uint64 // +64  B streams (xor kernels); y[0] is dst for signPlanes
 	inv [8]uint64  // +128 XNOR masks per stream (xor kernels); cm[0..5] + tie mask for signPlanes
 
@@ -98,18 +98,15 @@ type kernelTable struct {
 	tier  KernelTier
 	lanes int // vector width in 64-bit words; 1 on the portable tier
 
-	// csaBlock accumulates one block of eight raw word streams through
+	// csaXorBlock accumulates one block of eight A^B^inv streams through
 	// the carry-save cascade into the four planes, overflowing weight 16
-	// into the byte lanes (AddWordsBlock / AddPlanned hot loop).
-	csaBlock func(*csaArgs)
-	// csaXorBlock is csaBlock computing each stream as A^B^inv on the
-	// fly (AddXorPairs hot loop). Streams are NOT tail-masked by the
-	// kernel; the caller keeps the masked tail word on the portable path.
+	// into the byte lanes (AddXorPairs hot loop). Streams are NOT
+	// tail-masked by the kernel; the caller keeps the masked tail word on
+	// the portable path.
 	csaXorBlock func(*csaArgs)
-	// csaSmallBlock / csaXorSmallBlock are the same cascades overflowing
-	// into the sixteens/thirtytwos planes instead of the byte lanes (the
-	// ≤63-vector small-sign kernels).
-	csaSmallBlock    func(*csaArgs)
+	// csaXorSmallBlock is the same cascade overflowing into the
+	// sixteens/thirtytwos planes instead of the byte lanes (the
+	// ≤63-vector small-sign kernel).
 	csaXorSmallBlock func(*csaArgs)
 	// signPlanes takes the majority of the six carry-save planes by
 	// bit-sliced ripple compare, writes it to y[0], and zeroes the

@@ -8,13 +8,7 @@ package hdc
 // the portable loops. See DESIGN.md §2b for the kernel contracts.
 
 //go:noescape
-func csaBlockAVX2(a *csaArgs)
-
-//go:noescape
 func csaXorBlockAVX2(a *csaArgs)
-
-//go:noescape
-func csaSmallBlockAVX2(a *csaArgs)
 
 //go:noescape
 func csaXorSmallBlockAVX2(a *csaArgs)
@@ -26,13 +20,7 @@ func signPlanesAVX2(a *csaArgs)
 func hammingAVX2(a, b *uint64, n int64) int64
 
 //go:noescape
-func csaBlockAVX512(a *csaArgs)
-
-//go:noescape
 func csaXorBlockAVX512(a *csaArgs)
-
-//go:noescape
-func csaSmallBlockAVX512(a *csaArgs)
 
 //go:noescape
 func csaXorSmallBlockAVX512(a *csaArgs)
@@ -46,9 +34,7 @@ func hammingAVX512(a, b *uint64, n int64) int64
 var avx2Kernels = &kernelTable{
 	tier:             KernelAVX2,
 	lanes:            4,
-	csaBlock:         csaBlockAVX2,
 	csaXorBlock:      csaXorBlockAVX2,
-	csaSmallBlock:    csaSmallBlockAVX2,
 	csaXorSmallBlock: csaXorSmallBlockAVX2,
 	signPlanes:       signPlanesAVX2,
 	hamming:          hammingAVX2,
@@ -57,9 +43,7 @@ var avx2Kernels = &kernelTable{
 var avx512Kernels = &kernelTable{
 	tier:             KernelAVX512,
 	lanes:            8,
-	csaBlock:         csaBlockAVX512,
 	csaXorBlock:      csaXorBlockAVX512,
-	csaSmallBlock:    csaSmallBlockAVX512,
 	csaXorSmallBlock: csaXorSmallBlockAVX512,
 	signPlanes:       signPlanesAVX512,
 	hamming:          hammingAVX512,

@@ -10,8 +10,8 @@
 //   - All loads and stores are unaligned (VMOVDQU/VMOVDQU64): operand
 //     streams come from caller-owned slices with no alignment guarantee;
 //     plane and lane slabs are word-aligned only.
-//   - The cascades are bit-identical to csaBlock8Range/csaXorBlock8Range
-//     and the small/sign variants in smallsign.go: same CSA tree shape,
+//   - The cascades are bit-identical to csaXorBlock8Range and the
+//     small/sign variants in smallsign.go: same CSA tree shape,
 //     same weight-16 overflow rule. Any change there must land here too;
 //     the per-tier differential tests and FuzzBitCounter enforce it.
 //   - Register budget (AVX2): Y0-Y3 plane state, Y4-Y5 operand loads,
@@ -42,15 +42,6 @@
 	VMOVDQA64	S, CARRY;              \
 	VPTERNLOGQ	$0x96, B, C, S;        \
 	VPTERNLOGQ	$0xE8, B, C, CARRY;
-
-// Load one raw stream pair into Y4/Y5 (Z4/Z5).
-#define RAWLOAD256(RA, RB) \
-	VMOVDQU	(RA)(CX*1), Y4;        \
-	VMOVDQU	(RB)(CX*1), Y5;
-
-#define RAWLOAD512(RA, RB) \
-	VMOVDQU64	(RA)(CX*1), Z4;        \
-	VMOVDQU64	(RB)(CX*1), Z5;
 
 // Load stream word group R, XOR the paired stream (args+BOFF) and the
 // broadcast XNOR mask (args+VOFF) into DST.
@@ -219,14 +210,8 @@
 	VPANDQ	Z10, Z3, Z12;          \
 	VPXORQ	Z10, Z3, Z3;
 
-#define RAWLOADS256 \
-	CASCADE256(RAWLOAD256(R8, R9), RAWLOAD256(R10, R11), RAWLOAD256(R12, R13), RAWLOAD256(R14, R15))
-
 #define XORLOADS256 \
 	CASCADE256(XORLOAD256(R8, 64, 128, Y4) XORLOAD256(R9, 72, 136, Y5), XORLOAD256(R10, 80, 144, Y4) XORLOAD256(R11, 88, 152, Y5), XORLOAD256(R12, 96, 160, Y4) XORLOAD256(R13, 104, 168, Y5), XORLOAD256(R14, 112, 176, Y4) XORLOAD256(R15, 120, 184, Y5))
-
-#define RAWLOADS512 \
-	CASCADE512(RAWLOAD512(R8, R9), RAWLOAD512(R10, R11), RAWLOAD512(R12, R13), RAWLOAD512(R14, R15))
 
 #define XORLOADS512 \
 	CASCADE512(XORLOAD512(R8, 64, 128, Z4) XORLOAD512(R9, 72, 136, Z5), XORLOAD512(R10, 80, 144, Z4) XORLOAD512(R11, 88, 152, Z5), XORLOAD512(R12, 96, 160, Z4) XORLOAD512(R13, 104, 168, Z5), XORLOAD512(R14, 112, 176, Z4) XORLOAD512(R15, 120, 184, Z5))
@@ -255,29 +240,6 @@
 	VPTERNLOGQ	$0x60, Z0, Z3, Z1;     \
 	VPTERNLOGQ	$0xE8, CM, Z2, Z0;
 
-// func csaBlockAVX2(a *csaArgs)
-TEXT ·csaBlockAVX2(SB), NOSPLIT, $0-8
-	CSAPROLOGUE
-	MOVQ	$0x0101010101010101, AX
-	MOVQ	AX, X14
-	VPBROADCASTQ	X14, Y14
-	TESTQ	SI, SI
-	JZ	done
-loop:
-	LOADPLANES256
-	RAWLOADS256
-	STOREPLANES256
-	VPTEST	Y12, Y12
-	JZ	next
-	LANEADDS256
-next:
-	ADDQ	$32, CX
-	CMPQ	CX, SI
-	JB	loop
-done:
-	VZEROUPPER
-	RET
-
 // func csaXorBlockAVX2(a *csaArgs)
 TEXT ·csaXorBlockAVX2(SB), NOSPLIT, $0-8
 	CSAPROLOGUE
@@ -293,26 +255,6 @@ loop:
 	VPTEST	Y12, Y12
 	JZ	next
 	LANEADDS256
-next:
-	ADDQ	$32, CX
-	CMPQ	CX, SI
-	JB	loop
-done:
-	VZEROUPPER
-	RET
-
-// func csaSmallBlockAVX2(a *csaArgs)
-TEXT ·csaSmallBlockAVX2(SB), NOSPLIT, $0-8
-	CSAPROLOGUE
-	TESTQ	SI, SI
-	JZ	done
-loop:
-	LOADPLANES256
-	RAWLOADS256
-	STOREPLANES256
-	VPTEST	Y12, Y12
-	JZ	next
-	SMALLSPILL256
 next:
 	ADDQ	$32, CX
 	CMPQ	CX, SI
@@ -429,30 +371,6 @@ done:
 	MOVQ	AX, ret+24(FP)
 	RET
 
-// func csaBlockAVX512(a *csaArgs)
-TEXT ·csaBlockAVX512(SB), NOSPLIT, $0-8
-	CSAPROLOGUE
-	MOVQ	$0x0101010101010101, AX
-	MOVQ	AX, X14
-	VPBROADCASTQ	X14, Z14
-	TESTQ	SI, SI
-	JZ	done
-loop:
-	LOADPLANES512
-	RAWLOADS512
-	STOREPLANES512
-	VPTESTMQ	Z12, Z12, K1
-	KORTESTB	K1, K1
-	JZ	next
-	LANEADDS512
-next:
-	ADDQ	$64, CX
-	CMPQ	CX, SI
-	JB	loop
-done:
-	VZEROUPPER
-	RET
-
 // func csaXorBlockAVX512(a *csaArgs)
 TEXT ·csaXorBlockAVX512(SB), NOSPLIT, $0-8
 	CSAPROLOGUE
@@ -469,27 +387,6 @@ loop:
 	KORTESTB	K1, K1
 	JZ	next
 	LANEADDS512
-next:
-	ADDQ	$64, CX
-	CMPQ	CX, SI
-	JB	loop
-done:
-	VZEROUPPER
-	RET
-
-// func csaSmallBlockAVX512(a *csaArgs)
-TEXT ·csaSmallBlockAVX512(SB), NOSPLIT, $0-8
-	CSAPROLOGUE
-	TESTQ	SI, SI
-	JZ	done
-loop:
-	LOADPLANES512
-	RAWLOADS512
-	STOREPLANES512
-	VPTESTMQ	Z12, Z12, K1
-	KORTESTB	K1, K1
-	JZ	next
-	SMALLSPILL512
 next:
 	ADDQ	$64, CX
 	CMPQ	CX, SI

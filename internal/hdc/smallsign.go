@@ -132,90 +132,6 @@ func (c *BitCounter) csaXorSmallBlock8Range(aws, bws *[8][]uint64, vs *[8]uint64
 	}
 }
 
-// SignPlannedSmallInto is SignXorPairsSmallInto for planned operands: the
-// majority sign of plan.Operand(idx) for idx in idxs
-// (1 ≤ len(idxs) ≤ MaxSmallSign), written into dst, equivalent to
-// Reset + AddPlanned(plan, idxs) + SignBinaryInto(tie, dst) on an empty
-// counter. This is the batch-encoding hot path: one sequential slab load
-// per operand word in, one bit-sliced compare out.
-func (c *BitCounter) SignPlannedSmallInto(plan *OperandPlan, idxs []int32, tie, dst *Binary) *Binary {
-	if len(idxs) == 0 || len(idxs) > MaxSmallSign {
-		panic(fmt.Sprintf("hdc: %d operands outside small-sign range [1,%d]", len(idxs), MaxSmallSign))
-	}
-	if plan.d != c.d {
-		panic(fmt.Sprintf("hdc: plan dimension %d vs counter %d", plan.d, c.d))
-	}
-	// tie may be wider than the counter (prefix slicing); dst is canonical
-	// output and must match exactly. See SignXorPairsSmallInto.
-	c.checkOperand(tie.d)
-	if c.d != dst.d {
-		panic(fmt.Sprintf("hdc: destination dimension %d, want %d", dst.d, c.d))
-	}
-	for _, idx := range idxs {
-		if int(idx) < 0 || int(idx) >= plan.n {
-			panic(fmt.Sprintf("hdc: planned operand %d out of range [0,%d)", idx, plan.n))
-		}
-	}
-	kern := loadKernels()
-	nw := c.words
-	slab := plan.words
-	c.csaParked = true
-	var ops [8][]uint64
-	for i := 0; i < len(idxs); i += 8 {
-		n := len(idxs) - i
-		if n > 8 {
-			n = 8
-		}
-		for k := 0; k < n; k++ {
-			ops[k] = slab[int(idxs[i+k])*nw:][:nw]
-		}
-		for k := n; k < 8; k++ {
-			ops[k] = c.zeroWords
-		}
-		lo := 0
-		if kern.csaSmallBlock != nil {
-			if vn := c.vecWords(kern, false); vn > 0 {
-				a := &c.kargs
-				for k := 0; k < 8; k++ {
-					a.x[k] = &ops[k][0]
-				}
-				a.n = int64(vn)
-				kern.csaSmallBlock(a)
-				lo = vn
-			}
-		}
-		c.csaSmallBlock8Range(&ops, lo)
-	}
-	return c.signPlanesInto(kern, len(idxs), tie, dst)
-}
-
-// csaSmallBlock8Range is the portable small-sign cascade for one block
-// of eight raw word streams over words [lo, words) — the semantic source
-// of truth for the vector small-sign tiers. Streams must be tail-masked.
-func (c *BitCounter) csaSmallBlock8Range(ops *[8][]uint64, lo int) {
-	nw := c.words
-	ones, twos, fours, eights := c.csaOnes, c.csaTwos, c.csaFours, c.csaEights
-	sixteens, thirtytwos := c.csaSixteens, c.csaThirtyTwos
-	x0s, x1s, x2s, x3s := ops[0], ops[1], ops[2], ops[3]
-	x4s, x5s, x6s, x7s := ops[4], ops[5], ops[6], ops[7]
-	for w := lo; w < nw; w++ {
-		o, twosA := csa(ones[w], x0s[w], x1s[w])
-		o, twosB := csa(o, x2s[w], x3s[w])
-		t, foursA := csa(twos[w], twosA, twosB)
-		o, twosA = csa(o, x4s[w], x5s[w])
-		o, twosB = csa(o, x6s[w], x7s[w])
-		t, foursB := csa(t, twosA, twosB)
-		f, e8 := csa(fours[w], foursA, foursB)
-		e := eights[w]
-		s16 := e & e8
-		ones[w], twos[w], fours[w], eights[w] = o, t, f, e^e8
-		if s16 != 0 {
-			thirtytwos[w] |= sixteens[w] & s16
-			sixteens[w] ^= s16
-		}
-	}
-}
-
 // signPlanesInto takes the majority of the n vectors accumulated in the
 // six carry-save planes, writes it into dst, and zeroes the planes. The
 // compare is a bit-sliced ripple-carry addition of the constant

@@ -25,13 +25,6 @@ type metrics struct {
 	processed atomic.Uint64 // graphs classified
 	reloads   atomic.Uint64 // successful model swaps
 
-	// Cross-graph operand-plan effectiveness: planPairs counts edge
-	// rank-pair instances encoded, planDistinct the deduplicated operands
-	// actually materialized; their ratio is the basis-table traffic
-	// amortization the batch pipeline achieved.
-	planPairs    atomic.Uint64
-	planDistinct atomic.Uint64
-
 	// Cascade effectiveness: graphs decided at prefix width (stage 1)
 	// versus escalated to full dimension. Both stay zero while the
 	// installed model has no cascade configured.
@@ -92,24 +85,20 @@ func (m *metrics) observeBatch(n int) {
 	m.batchSize.observe(float64(n))
 }
 
-func (m *metrics) observePlan(pairs, distinct int) {
-	m.planPairs.Add(uint64(pairs))
-	m.planDistinct.Add(uint64(distinct))
-}
-
 func (m *metrics) observeCascade(stage1, escalated int) {
 	m.cascadeStage1.Add(uint64(stage1))
 	m.cascadeEscalated.Add(uint64(escalated))
 }
 
 // observeStages feeds one batch's stage-clock readout into the per-stage
-// histograms. The escalate stage is only meaningful when a cascade ran;
-// recording it unconditionally would drown the signal in zeros.
+// histograms. The escalate stage is only meaningful when a cascade ran or
+// the batch held reference-path fallbacks; recording it unconditionally
+// would drown the signal in zeros.
 func (m *metrics) observeStages(tr *core.BatchTrace, cascading bool) {
 	m.stagePlan.observe(float64(tr.PlanNanos) * 1e-9)
 	m.stageEncode.observe(float64(tr.EncodeNanos) * 1e-9)
 	m.stageClassify.observe(float64(tr.ClassifyNanos) * 1e-9)
-	if cascading {
+	if cascading || tr.EscalateNanos > 0 {
 		m.stageEscalate.observe(float64(tr.EscalateNanos) * 1e-9)
 	}
 }
@@ -246,10 +235,6 @@ type Metrics struct {
 	// InFlight is the number of graphs admitted but not yet classified
 	// (queued, being batched, or on a worker).
 	InFlight uint64
-	// PlanPairs counts edge rank-pair instances encoded by the batch
-	// pipeline; PlanDistinct counts the deduplicated operands materialized
-	// for them. PlanPairs/PlanDistinct is the cross-graph dedup factor.
-	PlanPairs, PlanDistinct uint64
 	// CascadeStage1 counts graphs decided at cascade prefix width;
 	// CascadeEscalated counts graphs re-decided at full dimension.
 	// CascadeStage1/(CascadeStage1+CascadeEscalated) is the stage-1 hit
@@ -264,10 +249,10 @@ type Metrics struct {
 	// dispatcher pickup), seconds.
 	QueueWait HistogramSnapshot
 	// StagePlan/StageEncode/StageClassify/StageEscalate are the per-batch
-	// stage-clock distributions in seconds: operand-plan construction,
-	// accumulate+sign, Hamming classification, and the cascade's
-	// full-width escalation work (observed only while a cascade is
-	// active). Together with QueueWait they attribute every microsecond
+	// stage-clock distributions in seconds: ranking plus rank-pair key
+	// sort, grouping+accumulate+sign, Hamming classification, and the
+	// escalate worklist (observed only while a cascade is active or a
+	// batch held reference-path fallbacks). Together with QueueWait they attribute every microsecond
 	// of a request's life inside the engine.
 	StagePlan, StageEncode, StageClassify, StageEscalate HistogramSnapshot
 }
@@ -289,8 +274,6 @@ func (e *Engine) Metrics() Metrics {
 		Reloads:          e.m.reloads.Load(),
 		AcceptedGraphs:   accepted,
 		InFlight:         accepted - processed,
-		PlanPairs:        e.m.planPairs.Load(),
-		PlanDistinct:     e.m.planDistinct.Load(),
 		CascadeStage1:    e.m.cascadeStage1.Load(),
 		CascadeEscalated: e.m.cascadeEscalated.Load(),
 		QueueDepth:       int(e.depth.Load()),
@@ -326,8 +309,6 @@ func WriteMetrics(w io.Writer, m Metrics, pred interface {
 	counter("graphhd_graphs_accepted_total", "Graphs admitted past admission control.", m.AcceptedGraphs)
 	counter("graphhd_graphs_processed_total", "Graphs classified.", m.Processed)
 	counter("graphhd_model_reloads_total", "Successful hot model swaps.", m.Reloads)
-	counter("graphhd_batch_plan_pairs_total", "Edge rank-pair instances encoded through batch operand plans.", m.PlanPairs)
-	counter("graphhd_batch_plan_distinct_total", "Deduplicated operands materialized by batch operand plans.", m.PlanDistinct)
 	counter("graphhd_cascade_stage1_total", "Graphs decided at cascade prefix width.", m.CascadeStage1)
 	counter("graphhd_cascade_escalated_total", "Graphs escalated to full dimension by the cascade.", m.CascadeEscalated)
 	p("# HELP graphhd_inflight_graphs Graphs admitted but not yet classified.\n# TYPE graphhd_inflight_graphs gauge\ngraphhd_inflight_graphs %d\n", m.InFlight)
@@ -450,8 +431,6 @@ func WriteRouterMetrics(w io.Writer, rt *Router) error {
 	counter("graphhd_graphs_accepted_total", "Graphs admitted past admission control.", func(m *Metrics) uint64 { return m.AcceptedGraphs })
 	counter("graphhd_graphs_processed_total", "Graphs classified.", func(m *Metrics) uint64 { return m.Processed })
 	counter("graphhd_model_reloads_total", "Successful hot model swaps.", func(m *Metrics) uint64 { return m.Reloads })
-	counter("graphhd_batch_plan_pairs_total", "Edge rank-pair instances encoded through batch operand plans.", func(m *Metrics) uint64 { return m.PlanPairs })
-	counter("graphhd_batch_plan_distinct_total", "Deduplicated operands materialized by batch operand plans.", func(m *Metrics) uint64 { return m.PlanDistinct })
 	counter("graphhd_cascade_stage1_total", "Graphs decided at cascade prefix width.", func(m *Metrics) uint64 { return m.CascadeStage1 })
 	counter("graphhd_cascade_escalated_total", "Graphs escalated to full dimension by the cascade.", func(m *Metrics) uint64 { return m.CascadeEscalated })
 

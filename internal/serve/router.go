@@ -218,7 +218,7 @@ func (rt *Router) PredictBatch(ctx context.Context, tenant, model string, graphs
 
 // PredictBatchInto is PredictBatch writing into a caller-provided slice.
 // The batch admits atomically against the tenant quota and lands on one
-// replica so it is encoded through one shared operand plan.
+// replica, whose workers classify it in MaxBatch-sized segments.
 func (rt *Router) PredictBatchInto(ctx context.Context, tenant, model string, graphs []*graph.Graph, out []int) error {
 	m, err := rt.target(model)
 	if err != nil {

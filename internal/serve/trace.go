@@ -50,8 +50,9 @@ type TraceRecord struct {
 	EscalateNanos  int64 `json:"escalate_ns"`
 	TotalNanos     int64 `json:"total_ns"` // worker pickup → results posted
 
-	// PlanPairs/PlanDistinct are the batch's operand-plan dedup stats;
-	// their ratio is the basis-table amortization this batch achieved.
+	// PlanPairs and PlanDistinct both carry the batch's edge rank-pair
+	// count (core.BatchTrace.Pairs); the two fields keep the record's
+	// wire shape for readers written against it.
 	PlanPairs    int `json:"plan_pairs"`
 	PlanDistinct int `json:"plan_distinct"`
 
