@@ -3,18 +3,25 @@ package graph
 import (
 	"encoding/json"
 	"fmt"
-	"io"
+	"sync"
 )
 
 // JSON wire codec for graphs, the request format of the serving subsystem
 // (internal/serve). The wire form is deliberately minimal — a vertex count,
 // an edge list, and optional categorical vertex labels — because that is
 // exactly the information Enc_G consumes; everything else (CSR adjacency,
-// sorted edge order) is derived on decode by the ordinary Builder, so a
-// decoded graph is indistinguishable from one built in-process and the
-// duplicate-edge / self-loop normalization rules are identical.
+// sorted edge order) is derived on decode by the same constructor Builder
+// uses, so a decoded graph is indistinguishable from one built in-process
+// and the duplicate-edge / self-loop normalization rules are identical.
 //
 //	{"num_vertices": 4, "edges": [[0,1],[1,2],[2,3]], "vertex_labels": [0,1,0,1]}
+//
+// There are two decoders. GraphJSON (through encoding/json) accepts every
+// JSON spelling of the form and names what is wrong with a bad one.
+// DecodeCanonical reads predict request bodies in the one spelling
+// json.Marshal produces straight into CSR, in a single pass; it declines
+// everything else, and the caller falls back to GraphJSON, which stays the
+// reference for what a body means.
 
 // GraphJSON is the wire representation of a Graph.
 type GraphJSON struct {
@@ -131,12 +138,176 @@ func UnmarshalGraph(data []byte, limits CodecLimits) (*Graph, error) {
 	return w.Graph(limits)
 }
 
-// DecodeGraph reads one wire-form JSON document from r and builds the
-// graph.
-func DecodeGraph(r io.Reader, limits CodecLimits) (*Graph, error) {
-	var w GraphJSON
-	if err := json.NewDecoder(r).Decode(&w); err != nil {
-		return nil, fmt.Errorf("graph: decode JSON: %w", err)
+// DecodeCanonical reads a predict request body in canonical form: exactly
+// {"graph": G} when batch is false, {"graphs": [G, …]} when it is true,
+// with each G
+//
+//	{"num_vertices": n, "edges": [[u,v], …]}
+//	{"num_vertices": n, "edges": [[u,v], …], "vertex_labels": [l, …]}
+//
+// — these lower-case keys without escapes, in this order, each once;
+// non-negative integers without sign, fraction or exponent, exactly two
+// per edge; JSON whitespace anywhere between tokens and nothing else after
+// the closing brace. limits are checked while reading, so nothing is
+// allocated past them. ok is false for every other input, including any
+// that GraphJSON.Graph would reject; the graphs of an accepted body equal
+// GraphJSON.Graph's and share no memory with data.
+func DecodeCanonical(data []byte, batch bool, limits CodecLimits) (graphs []*Graph, ok bool) {
+	kp := keyPool.Get().(*[]uint64)
+	r := wireReader{data: data, limits: limits.resolve(), keys: *kp}
+	defer func() {
+		*kp = r.keys[:0]
+		keyPool.Put(kp)
+	}()
+	if !r.next('{') {
+		return nil, false
 	}
-	return w.Graph(limits)
+	if batch {
+		graphs = []*Graph{}
+		ok = r.key("graphs") && r.array(func() bool {
+			g, ok := r.graph()
+			graphs = append(graphs, g)
+			return ok
+		})
+	} else if ok = r.key("graph"); ok {
+		var g *Graph
+		g, ok = r.graph()
+		graphs = []*Graph{g}
+	}
+	if !ok || !r.next('}') {
+		return nil, false
+	}
+	r.space()
+	return graphs, r.pos == len(data)
+}
+
+// keyPool recycles DecodeCanonical's edge-key scratch across requests.
+var keyPool = sync.Pool{New: func() any { return new([]uint64) }}
+
+// wireReader is DecodeCanonical's cursor over a request body.
+type wireReader struct {
+	data   []byte
+	pos    int
+	limits CodecLimits
+	keys   []uint64 // the current graph's edge keys, reused across graphs
+}
+
+// graph reads one canonical G.
+func (r *wireReader) graph() (*Graph, bool) {
+	if !r.next('{') || !r.key("num_vertices") {
+		return nil, false
+	}
+	n, ok := r.uint(r.limits.MaxVertices)
+	if !ok || !r.next(',') || !r.key("edges") {
+		return nil, false
+	}
+	r.keys = r.keys[:0]
+	edges := 0
+	if !r.array(func() bool {
+		if edges++; edges > r.limits.MaxEdges || !r.next('[') {
+			return false
+		}
+		u, ok := r.uint(n - 1)
+		if !ok || !r.next(',') {
+			return false
+		}
+		v, ok := r.uint(n - 1)
+		if !ok || !r.next(']') {
+			return false
+		}
+		if u != v {
+			r.keys = append(r.keys, edgeKey(u, v))
+		}
+		return true
+	}) {
+		return nil, false
+	}
+	var labels []int
+	if r.next(',') {
+		if !r.key("vertex_labels") {
+			return nil, false
+		}
+		labels = make([]int, 0, n)
+		if !r.array(func() bool {
+			l, ok := r.uint(r.limits.MaxVertexLabel)
+			if !ok || len(labels) == n {
+				return false
+			}
+			labels = append(labels, l)
+			return true
+		}) || len(labels) != n {
+			return nil, false
+		}
+	}
+	if !r.next('}') {
+		return nil, false
+	}
+	return newGraph(n, r.keys, labels), true
+}
+
+// array reads a JSON array, calling elem to read each element.
+func (r *wireReader) array(elem func() bool) bool {
+	if !r.next('[') {
+		return false
+	}
+	if r.next(']') {
+		return true
+	}
+	for elem() {
+		if r.next(']') {
+			return true
+		}
+		if !r.next(',') {
+			return false
+		}
+	}
+	return false
+}
+
+// key reads the object key k, unescaped, and its colon.
+func (r *wireReader) key(k string) bool {
+	r.space()
+	rest := r.data[r.pos:]
+	if len(rest) < len(k)+2 || rest[0] != '"' || string(rest[1:1+len(k)]) != k || rest[1+len(k)] != '"' {
+		return false
+	}
+	r.pos += len(k) + 2
+	return r.next(':')
+}
+
+// uint reads an integer in [0, max]. Nine digits at most keep the value
+// within int on every platform; a longer number is declined.
+func (r *wireReader) uint(max int) (int, bool) {
+	r.space()
+	v, i := 0, r.pos
+	for ; i < len(r.data) && i-r.pos < 9 && '0' <= r.data[i] && r.data[i] <= '9'; i++ {
+		v = v*10 + int(r.data[i]-'0')
+	}
+	if i == r.pos || v > max || (r.data[r.pos] == '0' && i-r.pos > 1) {
+		return 0, false
+	}
+	r.pos = i
+	return v, true
+}
+
+// next skips whitespace and consumes c if it comes next.
+func (r *wireReader) next(c byte) bool {
+	r.space()
+	if r.pos < len(r.data) && r.data[r.pos] == c {
+		r.pos++
+		return true
+	}
+	return false
+}
+
+// space skips JSON whitespace.
+func (r *wireReader) space() {
+	for r.pos < len(r.data) {
+		switch r.data[r.pos] {
+		case ' ', '\t', '\n', '\r':
+			r.pos++
+		default:
+			return
+		}
+	}
 }

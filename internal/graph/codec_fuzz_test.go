@@ -2,6 +2,13 @@ package graph
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -84,4 +91,147 @@ func graphsEqual(a, b *Graph) bool {
 		}
 	}
 	return true
+}
+
+// FuzzCanonicalReader is the differential fuzz target for DecodeCanonical
+// against the encoding/json path it stands in for. Each input X is wrapped
+// as {"graph": X} and as {"graphs": [X, X]} and read under the default and
+// a tight CodecLimits. Whenever the reader accepts, its graphs must equal
+// encoding/json + GraphJSON.Graph — vertices, Edges(), every Neighbors(v)
+// and labels — and satisfy the CSR invariants; whenever that path errors,
+// the reader must have declined. The seeds are FuzzGraphCodec's checked-in
+// corpus.
+func FuzzCanonicalReader(f *testing.F) {
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzGraphCodec", "*"))
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no FuzzGraphCodec corpus: %v", err)
+	}
+	for _, file := range files {
+		f.Add(readCorpusBytes(f, file))
+	}
+	tight := CodecLimits{MaxVertices: 6, MaxEdges: 4, MaxVertexLabel: 3}
+	f.Fuzz(func(t *testing.T, x []byte) {
+		for _, limits := range []CodecLimits{{}, tight} {
+			single := append(append([]byte(`{"graph":`), x...), '}')
+			batch := append(append(append(append([]byte(`{"graphs":[`), x...), ','), x...), ']', '}')
+			checkCanonical(t, single, false, limits)
+			checkCanonical(t, batch, true, limits)
+		}
+	})
+}
+
+// checkCanonical decodes body with DecodeCanonical and with encoding/json
+// + GraphJSON.Graph and requires them to agree wherever the reader accepts.
+func checkCanonical(t *testing.T, body []byte, batch bool, limits CodecLimits) {
+	t.Helper()
+	got, ok := DecodeCanonical(body, batch, limits)
+	var wire []*GraphJSON
+	var err error
+	if batch {
+		var req struct {
+			Graphs []*GraphJSON `json:"graphs"`
+		}
+		err = json.Unmarshal(body, &req)
+		wire = req.Graphs
+	} else {
+		var req struct {
+			Graph *GraphJSON `json:"graph"`
+		}
+		err = json.Unmarshal(body, &req)
+		wire = []*GraphJSON{req.Graph}
+	}
+	var want []*Graph
+	for _, w := range wire {
+		if err != nil {
+			break
+		}
+		if w == nil {
+			err = errors.New("missing graph")
+			break
+		}
+		var g *Graph
+		g, err = w.Graph(limits)
+		want = append(want, g)
+	}
+	if !ok {
+		return
+	}
+	if err != nil {
+		t.Fatalf("reader accepted a body encoding/json rejects (%v):\n%s", err, body)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("reader read %d graphs, encoding/json %d:\n%s", len(got), len(want), body)
+	}
+	for i := range got {
+		requireSameGraph(t, got[i], want[i])
+		requireCSR(t, got[i])
+	}
+}
+
+// requireSameGraph requires identical vertex counts, edge lists, adjacency
+// lists and labels.
+func requireSameGraph(t *testing.T, got, want *Graph) {
+	t.Helper()
+	if got.NumVertices() != want.NumVertices() || got.Labeled() != want.Labeled() ||
+		!slices.Equal(got.Edges(), want.Edges()) {
+		t.Fatalf("graph %v (labeled %v, edges %v), want %v (labeled %v, edges %v)",
+			got, got.Labeled(), got.Edges(), want, want.Labeled(), want.Edges())
+	}
+	for v := 0; v < got.NumVertices(); v++ {
+		if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) || got.VertexLabel(v) != want.VertexLabel(v) {
+			t.Fatalf("vertex %d: neighbors %v label %d, want %v label %d",
+				v, got.Neighbors(v), got.VertexLabel(v), want.Neighbors(v), want.VertexLabel(v))
+		}
+	}
+}
+
+// requireCSR checks the Graph invariants: edges sorted and unique with
+// U < V, every adjacency list strictly sorted, and the adjacency lists
+// holding each edge once from each end and nothing else.
+func requireCSR(t *testing.T, g *Graph) {
+	t.Helper()
+	es := g.Edges()
+	for i, e := range es {
+		if e.U >= e.V || e.U < 0 || int(e.V) >= g.NumVertices() {
+			t.Fatalf("edge %v not oriented in range", e)
+		}
+		if i > 0 && (es[i-1].U > e.U || es[i-1].U == e.U && es[i-1].V >= e.V) {
+			t.Fatalf("edges %v, %v out of order or duplicated", es[i-1], e)
+		}
+		if !g.HasEdge(int(e.U), int(e.V)) || !g.HasEdge(int(e.V), int(e.U)) {
+			t.Fatalf("edge %v missing from an adjacency list", e)
+		}
+	}
+	degrees := 0
+	for v := 0; v < g.NumVertices(); v++ {
+		ns := g.Neighbors(v)
+		for i := 1; i < len(ns); i++ {
+			if ns[i-1] >= ns[i] {
+				t.Fatalf("neighbors of %d not strictly sorted: %v", v, ns)
+			}
+		}
+		degrees += len(ns)
+	}
+	if degrees != 2*len(es) {
+		t.Fatalf("degree sum %d, want %d", degrees, 2*len(es))
+	}
+}
+
+// readCorpusBytes reads the single []byte value of a "go test fuzz v1"
+// corpus file.
+func readCorpusBytes(f *testing.F, path string) []byte {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != 2 || lines[0] != "go test fuzz v1" ||
+		!strings.HasPrefix(lines[1], "[]byte(") || !strings.HasSuffix(lines[1], ")") {
+		f.Fatalf("%s: not a one-value []byte corpus file", path)
+	}
+	v, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+	if err != nil {
+		f.Fatalf("%s: %v", path, err)
+	}
+	return []byte(v)
 }

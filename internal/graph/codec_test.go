@@ -113,12 +113,52 @@ func TestGraphJSONEmptyGraph(t *testing.T) {
 	}
 }
 
+// TestDecodeGraphReader reads single and batch predict bodies, compact and
+// pretty-printed, with the canonical reader and requires the graphs
+// UnmarshalGraph builds from the same wire graphs.
 func TestDecodeGraphReader(t *testing.T) {
-	g, err := DecodeGraph(strings.NewReader(`{"num_vertices":2,"edges":[[0,1]]}`), CodecLimits{})
-	if err != nil {
-		t.Fatal(err)
+	a := `{"num_vertices":4,"edges":[[3,0],[0,1],[1,0],[2,2],[1,2]]}`
+	b := `{"num_vertices":3,"edges":[[0,2]],"vertex_labels":[4,0,4]}`
+	cases := []struct {
+		body  string
+		batch bool
+		want  []string
+	}{
+		{`{"graph":` + a + `}`, false, []string{a}},
+		{`{"graphs":[` + a + `,` + b + `]}`, true, []string{a, b}},
+		{"{\n  \"graphs\": [\n    {\n      \"num_vertices\": 3,\n      \"edges\": [ [0, 2] ],\n" +
+			"      \"vertex_labels\": [4, 0, 4]\n    }\n  ]\n}\n", true, []string{b}},
+		{`{"graphs":[]}`, true, nil},
 	}
-	if !g.HasEdge(0, 1) {
-		t.Fatal("edge lost through reader decode")
+	for _, tc := range cases {
+		body := []byte(tc.body)
+		got, ok := DecodeCanonical(body, tc.batch, CodecLimits{})
+		if !ok {
+			t.Fatalf("reader declined %s", tc.body)
+		}
+		// Graphs must not alias the body or the pooled edge-key scratch:
+		// callers recycle both while the graphs live on.
+		for i := range body {
+			body[i] = '9'
+		}
+		DecodeCanonical([]byte(`{"graph":{"num_vertices":9,"edges":[[8,7],[6,5],[4,3],[2,1]]}}`), false, CodecLimits{})
+		if got == nil || len(got) != len(tc.want) {
+			t.Fatalf("%s: got %d graphs, want %d", tc.body, len(got), len(tc.want))
+		}
+		for i, w := range tc.want {
+			want, err := UnmarshalGraph([]byte(w), CodecLimits{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameGraph(t, got[i], want)
+			requireCSR(t, got[i])
+		}
+	}
+	// The other route's envelope is declined, not misread.
+	if _, ok := DecodeCanonical([]byte(`{"graphs":[`+a+`]}`), false, CodecLimits{}); ok {
+		t.Fatal("single-graph read accepted a batch body")
+	}
+	if _, ok := DecodeCanonical([]byte(`{"graph":`+a+`}`), true, CodecLimits{}); ok {
+		t.Fatal("batch read accepted a single-graph body")
 	}
 }

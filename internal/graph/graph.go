@@ -5,6 +5,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -170,8 +171,7 @@ func (g *Graph) String() string {
 // "simple undirected graph" model the paper assumes.
 type Builder struct {
 	n      int
-	seen   map[Edge]struct{}
-	edges  []Edge
+	keys   []uint64 // edgeKey of every non-loop edge added, duplicates included
 	labels []int
 }
 
@@ -180,7 +180,7 @@ func NewBuilder(n int) *Builder {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
-	return &Builder{n: n, seen: make(map[Edge]struct{})}
+	return &Builder{n: n}
 }
 
 // AddEdge adds the undirected edge {u, v}. Self-loops and duplicates are
@@ -189,18 +189,9 @@ func (b *Builder) AddEdge(u, v int) error {
 	if u < 0 || v < 0 || u >= b.n || v >= b.n {
 		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n)
 	}
-	if u == v {
-		return nil
+	if u != v {
+		b.keys = append(b.keys, edgeKey(u, v))
 	}
-	if u > v {
-		u, v = v, u
-	}
-	e := Edge{int32(u), int32(v)}
-	if _, dup := b.seen[e]; dup {
-		return nil
-	}
-	b.seen[e] = struct{}{}
-	b.edges = append(b.edges, e)
 	return nil
 }
 
@@ -223,43 +214,10 @@ func (b *Builder) SetVertexLabels(labels []int) error {
 	return nil
 }
 
-// NumEdges returns the number of distinct edges added so far.
-func (b *Builder) NumEdges() int { return len(b.edges) }
-
 // Build finalizes the graph. The builder may be reused afterwards only by
 // creating a new one; Build is a terminal operation.
 func (b *Builder) Build() *Graph {
-	edges := make([]Edge, len(b.edges))
-	copy(edges, b.edges)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
-	deg := make([]int32, b.n)
-	for _, e := range edges {
-		deg[e.U]++
-		deg[e.V]++
-	}
-	off := make([]int32, b.n+1)
-	for v := 0; v < b.n; v++ {
-		off[v+1] = off[v] + deg[v]
-	}
-	adj := make([]int32, off[b.n])
-	pos := make([]int32, b.n)
-	copy(pos, off[:b.n])
-	for _, e := range edges {
-		adj[pos[e.U]] = e.V
-		pos[e.U]++
-		adj[pos[e.V]] = e.U
-		pos[e.V]++
-	}
-	for v := 0; v < b.n; v++ {
-		s := adj[off[v]:off[v+1]]
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	}
-	return &Graph{n: b.n, off: off, adj: adj, edges: edges, vertexLabels: b.labels}
+	return newGraph(b.n, b.keys, b.labels)
 }
 
 // FromEdges is a convenience constructor building a graph directly from an
@@ -272,4 +230,50 @@ func FromEdges(n int, edges [][2]int) (*Graph, error) {
 		}
 	}
 	return b.Build(), nil
+}
+
+// edgeKey packs the distinct endpoints u, v of an undirected edge as
+// min<<32 | max, so sorting keys sorts edges by (U, V).
+func edgeKey(u, v int) uint64 {
+	if u > v {
+		u, v = v, u
+	}
+	return uint64(u)<<32 | uint64(v)
+}
+
+// newGraph is the one CSR constructor behind Builder and the wire reader.
+// keys holds edgeKeys of in-range, non-loop edges in any order, duplicates
+// included; it is sorted and compacted in place and not retained. Filling
+// adj in key order leaves every adjacency list sorted without a per-vertex
+// sort: vertex x first receives its smaller neighbours, from the runs of
+// keys whose U precedes x (in U order), then its larger ones, from its own
+// run (in V order). labels, if non-nil, is retained.
+func newGraph(n int, keys []uint64, labels []int) *Graph {
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	edges := make([]Edge, len(keys))
+	// off and adj share one allocation; off is capped so it cannot grow
+	// into adj.
+	csr := make([]int32, n+1+2*len(keys))
+	off, adj := csr[:n+1:n+1], csr[n+1:]
+	for i, k := range keys {
+		e := Edge{int32(k >> 32), int32(uint32(k))}
+		edges[i] = e
+		off[e.U+1]++
+		off[e.V+1]++
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	// off[v] serves as v's fill cursor, which leaves it at the start of
+	// v+1; shifting by one restores the offsets.
+	for _, e := range edges {
+		adj[off[e.U]] = e.V
+		off[e.U]++
+		adj[off[e.V]] = e.U
+		off[e.V]++
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	return &Graph{n: n, off: off, adj: adj, edges: edges, vertexLabels: labels}
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -341,5 +342,50 @@ func TestRelabelPreservesStructure(t *testing.T) {
 func TestGraphString(t *testing.T) {
 	if s := Ring(3).String(); s != "Graph(n=3, m=3)" {
 		t.Fatalf("String() = %q", s)
+	}
+}
+
+// TestBuilderMatchesReference builds random multigraphs (duplicates in
+// both orientations, self-loops) and requires the sort-based constructor
+// to give exactly the graph of a map-deduplicated, per-vertex-sorted
+// reference: same Edges() and same Neighbors(v) for every vertex.
+func TestBuilderMatchesReference(t *testing.T) {
+	rng := hdc.NewRNG(3)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		m := rng.Intn(3 * n)
+		b := NewBuilder(n)
+		seen := map[Edge]bool{}
+		adj := make([][]int32, n)
+		var want []Edge
+		for i := 0; i < m; i++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			b.MustAddEdge(u, v)
+			if u > v {
+				u, v = v, u
+			}
+			if e := (Edge{int32(u), int32(v)}); u != v && !seen[e] {
+				seen[e] = true
+				want = append(want, e)
+				adj[u] = append(adj[u], int32(v))
+				adj[v] = append(adj[v], int32(u))
+			}
+		}
+		slices.SortFunc(want, func(a, b Edge) int {
+			if a.U != b.U {
+				return int(a.U - b.U)
+			}
+			return int(a.V - b.V)
+		})
+		g := b.Build()
+		if !slices.Equal(g.Edges(), want) {
+			t.Fatalf("n=%d: edges %v, want %v", n, g.Edges(), want)
+		}
+		for v := 0; v < n; v++ {
+			slices.Sort(adj[v])
+			if !slices.Equal(g.Neighbors(v), adj[v]) {
+				t.Fatalf("n=%d: neighbors(%d) = %v, want %v", n, v, g.Neighbors(v), adj[v])
+			}
+		}
 	}
 }

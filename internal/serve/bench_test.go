@@ -1,12 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
 	"graphhd/internal/core"
 	"graphhd/internal/dataset"
+	"graphhd/internal/graph"
 )
 
 // The serving benchmarks run at paper scale (d = 10,000) on a synthetic
@@ -105,19 +111,36 @@ func BenchmarkServePredictBatch(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	reportStageMedians(b, e.Metrics(), false)
+	reportStageMedians(b, e, false)
 }
 
 // reportStageMedians stamps the per-batch stage-clock medians into the
 // benchmark output; CI carries them into the BENCH artifact via
 // cmd/benchjson, so a perf regression names its stage instead of hiding
-// in the aggregate ns/op.
-func reportStageMedians(b *testing.B, m Metrics, cascading bool) {
-	b.ReportMetric(m.StagePlan.Quantile(0.5)*1e9, "plan-p50-ns")
-	b.ReportMetric(m.StageEncode.Quantile(0.5)*1e9, "encode-p50-ns")
-	b.ReportMetric(m.StageClassify.Quantile(0.5)*1e9, "classify-p50-ns")
+// in the aggregate ns/op. The medians are exact, taken over the stage
+// nanoseconds of the batches the flight recorder retains, not
+// interpolated inside histogram buckets.
+func reportStageMedians(b *testing.B, e *Engine, cascading bool) {
+	traces := e.Traces()
+	median := func(stage func(*TraceRecord) int64) float64 {
+		ns := make([]int64, len(traces))
+		for i := range traces {
+			ns[i] = stage(&traces[i])
+		}
+		slices.Sort(ns)
+		if len(ns)%2 == 1 {
+			return float64(ns[len(ns)/2])
+		}
+		return float64(ns[len(ns)/2-1]+ns[len(ns)/2]) / 2
+	}
+	if len(traces) == 0 {
+		b.Fatal("no batch traces recorded")
+	}
+	b.ReportMetric(median(func(r *TraceRecord) int64 { return r.PlanNanos }), "plan-p50-ns")
+	b.ReportMetric(median(func(r *TraceRecord) int64 { return r.EncodeNanos }), "encode-p50-ns")
+	b.ReportMetric(median(func(r *TraceRecord) int64 { return r.ClassifyNanos }), "classify-p50-ns")
 	if cascading {
-		b.ReportMetric(m.StageEscalate.Quantile(0.5)*1e9, "escalate-p50-ns")
+		b.ReportMetric(median(func(r *TraceRecord) int64 { return r.EscalateNanos }), "escalate-p50-ns")
 	}
 }
 
@@ -279,5 +302,135 @@ func BenchmarkServePredictCascade(b *testing.B) {
 	b.StopTimer()
 	mm := e.Metrics()
 	b.ReportMetric(float64(mm.CascadeStage1)/float64(mm.CascadeStage1+mm.CascadeEscalated), "stage1-hit-rate")
-	reportStageMedians(b, mm, true)
+	reportStageMedians(b, e, true)
+}
+
+// benchHTTPStack trains a d = 10,000 model on a synthetic dataset and
+// serves it through NewHandler with the router benchmarks' engine shape;
+// the handler is driven in process, without a network round trip.
+func benchHTTPStack(b *testing.B, name string, count int) (http.Handler, *core.Predictor, []*graph.Graph) {
+	ds := dataset.MustGenerate(name, dataset.Options{Seed: 7, GraphCount: count})
+	m, err := core.Train(core.DefaultConfig(), ds.Graphs, ds.Labels)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pred := m.Snapshot()
+	reg := NewRegistry(RegistryOptions{Engine: Options{MaxBatch: 64, MaxDelay: 200 * time.Microsecond}})
+	b.Cleanup(reg.Close)
+	if err := reg.Load("default", pred); err != nil {
+		b.Fatal(err)
+	}
+	return NewHandler(NewRouter(reg, RouterOptions{}), HandlerOptions{}), pred, ds.Graphs
+}
+
+// wireBatch is the 32-graph wire form of graphs.
+func wireBatch(graphs []*graph.Graph) []*graph.GraphJSON {
+	wire := make([]*graph.GraphJSON, len(graphs))
+	for i, g := range graphs {
+		wire[i] = graph.ToJSON(g)
+	}
+	return wire
+}
+
+// benchPost serves one POST of body per iteration and requires 200 with
+// the expected response body.
+func benchPost(b *testing.B, h http.Handler, path string, body []byte, want string) {
+	serve := func() {
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || rec.Body.String() != want {
+			b.Fatalf("status %d body %q, want 200 %q", rec.Code, rec.Body.String(), want)
+		}
+	}
+	serve()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
+}
+
+// BenchmarkHTTPPredictBatch is BenchmarkRouterPredictBatch seen from the
+// wire: the same 32-graph MUTAG batch, posted to /v1/predict/batch and
+// served by NewHandler (body read, decode, graph build, routing, engine,
+// response). canonical sends json.Marshal output, which the single-pass
+// reader decodes; fallback sends the same graphs pretty-printed with an
+// unknown key, which the reader declines, so it pays the reader's attempt
+// plus encoding/json. The delta against BenchmarkRouterPredictBatch in
+// the same run is the wire's cost.
+func BenchmarkHTTPPredictBatch(b *testing.B) {
+	h, pred, graphs := benchHTTPStack(b, "MUTAG", 48)
+	graphs = graphs[:32]
+	want, err := json.Marshal(PredictBatchResponse{Classes: pred.PredictAll(graphs)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	canonical, err := json.Marshal(PredictBatchRequest{Graphs: wireBatch(graphs)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fallback, err := json.MarshalIndent(struct {
+		Graphs []*graph.GraphJSON `json:"graphs"`
+		Client string             `json:"client"`
+	}{wireBatch(graphs), "bench"}, "", "  ")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("canonical", func(b *testing.B) {
+		benchPost(b, h, "/v1/predict/batch", canonical, string(want)+"\n")
+	})
+	b.Run("fallback", func(b *testing.B) {
+		benchPost(b, h, "/v1/predict/batch", fallback, string(want)+"\n")
+	})
+}
+
+// BenchmarkHTTPPredict posts one DD graph (a few hundred vertices, the
+// largest Table-I graphs) per request to /v1/predict.
+func BenchmarkHTTPPredict(b *testing.B) {
+	h, pred, graphs := benchHTTPStack(b, "DD", 24)
+	g := graphs[0]
+	want, err := json.Marshal(PredictResponse{Class: pred.Predict(g)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	body, err := json.Marshal(PredictRequest{Graph: graph.ToJSON(g)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchPost(b, h, "/v1/predict", body, string(want)+"\n")
+}
+
+// BenchmarkDecodeGraphs is the decode layer of BenchmarkHTTPPredictBatch
+// alone: the canonical 32-graph MUTAG body to validated graphs, through
+// the single-pass reader and through the encoding/json fallback
+// (json.Decoder, then GraphJSON.Graph per graph).
+func BenchmarkDecodeGraphs(b *testing.B) {
+	ds := dataset.MustGenerate("MUTAG", dataset.Options{Seed: 7, GraphCount: 48})
+	body, err := json.Marshal(PredictBatchRequest{Graphs: wireBatch(ds.Graphs[:32])})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("reader", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if graphs, ok := graph.DecodeCanonical(body, true, graph.CodecLimits{}); !ok || len(graphs) != 32 {
+				b.Fatal("reader declined the canonical body")
+			}
+		}
+	})
+	b.Run("json", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var req PredictBatchRequest
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+				b.Fatal(err)
+			}
+			for _, w := range req.Graphs {
+				if _, err := w.Graph(graph.CodecLimits{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }

@@ -307,18 +307,20 @@ func TestEngineMetrics(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	if err := WriteMetrics(&sb, m, e.Predictor()); err != nil {
+	rt := NewRouter(registryWithEngines(t, "default", pred, e), RouterOptions{})
+	if err := WriteRouterMetrics(&sb, rt); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
+	const slot = `model="default",replica="0"`
 	for _, want := range []string{
-		"graphhd_requests_total 2",
-		"graphhd_graphs_processed_total 11",
-		"graphhd_queue_depth",
-		"graphhd_request_latency_seconds_bucket{le=\"+Inf\"} 2",
-		"graphhd_request_latency_seconds_count 2",
-		"graphhd_batch_size_bucket",
-		"graphhd_model_classes 2",
+		"graphhd_requests_total{" + slot + "} 2",
+		"graphhd_graphs_processed_total{" + slot + "} 11",
+		"graphhd_queue_depth{" + slot + "}",
+		"graphhd_request_latency_seconds_bucket{" + slot + ",le=\"+Inf\"} 2",
+		"graphhd_request_latency_seconds_count{" + slot + "} 2",
+		"graphhd_batch_size_bucket{" + slot,
+		`graphhd_model_classes{model="default"} 2`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q:\n%s", want, out)

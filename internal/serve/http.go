@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -11,6 +12,7 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -42,7 +44,8 @@ import (
 // queue. Admission-control rejections map to 429, unknown models to 404,
 // malformed or config-incompatible graphs to 400.
 //
-// Graphs travel in the internal/graph JSON wire form. Every response
+// Graphs travel in the internal/graph JSON wire form; predict bodies in
+// its canonical spelling skip encoding/json (see readGraphs). Every response
 // carries an X-Request-Id header; with a Logger configured each request
 // is logged structurally under that id.
 //
@@ -326,10 +329,15 @@ func (h *handler) decodeGraph(w *graph.GraphJSON, pred *core.Predictor) (*graph.
 	if err != nil {
 		return nil, err
 	}
+	return g, checkLabels(g, pred)
+}
+
+// checkLabels rejects a labeled graph sent to a model that ignores labels.
+func checkLabels(g *graph.Graph, pred *core.Predictor) error {
 	if g.Labeled() && !pred.Encoder().Config().UseVertexLabels {
-		return nil, errors.New("serve: vertex_labels supplied but the loaded model does not use vertex labels")
+		return errors.New("serve: vertex_labels supplied but the loaded model does not use vertex labels")
 	}
-	return g, nil
+	return nil
 }
 
 // className maps a class index onto the configured default-model class
@@ -341,23 +349,81 @@ func (h *handler) className(model string, c int) string {
 	return ""
 }
 
-func (h *handler) predict(w http.ResponseWriter, r *http.Request, model string) {
-	var req PredictRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, h.opts.MaxBodyBytes)).Decode(&req); err != nil {
+// bodyPool recycles request-body buffers across predict requests.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody keeps one oversized request from pinning its buffer in
+// the pool.
+const maxPooledBody = 1 << 20
+
+// readGraphs reads a predict body ({"graph": …}, or {"graphs": […]} when
+// batch is set) and returns its graphs validated against the target
+// model, or writes the error response and returns false. The body is read
+// once into a pooled buffer; graph.DecodeCanonical reads it straight into
+// CSR, and any body that reader declines is decoded again with
+// encoding/json and GraphJSON.Graph, the reference for what a body means
+// and for every error text. The graphs share no memory with the buffer:
+// the shadow mirror and the trainer keep them past the request.
+func (h *handler) readGraphs(w http.ResponseWriter, r *http.Request, model string, batch bool) ([]*graph.Graph, bool) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodyPool.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, h.opts.MaxBodyBytes)); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
-		return
+		return nil, false
+	}
+	graphs, canonical := graph.DecodeCanonical(buf.Bytes(), batch, h.opts.Limits)
+	var wire []*graph.GraphJSON
+	if !canonical {
+		var err error
+		dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
+		if batch {
+			var req PredictBatchRequest
+			err = dec.Decode(&req)
+			wire = req.Graphs
+		} else {
+			var req PredictRequest
+			err = dec.Decode(&req)
+			wire = []*graph.GraphJSON{req.Graph}
+		}
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
+			return nil, false
+		}
+		graphs = make([]*graph.Graph, len(wire))
 	}
 	pred, err := h.rt.Predictor(model)
 	if err != nil {
 		writeEngineError(w, err)
+		return nil, false
+	}
+	for i := range graphs {
+		if canonical {
+			err = checkLabels(graphs[i], pred)
+		} else {
+			graphs[i], err = h.decodeGraph(wire[i], pred)
+		}
+		if err != nil {
+			if batch {
+				err = fmt.Errorf("graphs[%d]: %w", i, err)
+			}
+			writeError(w, http.StatusBadRequest, err)
+			return nil, false
+		}
+	}
+	return graphs, true
+}
+
+func (h *handler) predict(w http.ResponseWriter, r *http.Request, model string) {
+	graphs, ok := h.readGraphs(w, r, model, false)
+	if !ok {
 		return
 	}
-	g, err := h.decodeGraph(req.Graph, pred)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	class, err := h.rt.Predict(r.Context(), tenantOf(r), model, g)
+	class, err := h.rt.Predict(r.Context(), tenantOf(r), model, graphs[0])
 	if err != nil {
 		writeEngineError(w, err)
 		return
@@ -366,24 +432,9 @@ func (h *handler) predict(w http.ResponseWriter, r *http.Request, model string) 
 }
 
 func (h *handler) predictBatch(w http.ResponseWriter, r *http.Request, model string) {
-	var req PredictBatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, h.opts.MaxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
+	graphs, ok := h.readGraphs(w, r, model, true)
+	if !ok {
 		return
-	}
-	pred, err := h.rt.Predictor(model)
-	if err != nil {
-		writeEngineError(w, err)
-		return
-	}
-	graphs := make([]*graph.Graph, len(req.Graphs))
-	for i, wg := range req.Graphs {
-		g, err := h.decodeGraph(wg, pred)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("graphs[%d]: %w", i, err))
-			return
-		}
-		graphs[i] = g
 	}
 	classes, err := h.rt.PredictBatch(r.Context(), tenantOf(r), model, graphs)
 	if err != nil {

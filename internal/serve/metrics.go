@@ -17,7 +17,7 @@ import (
 // metrics is the engine's internal instrumentation: plain atomics and
 // fixed-bucket histograms, observed lock-free and allocation-free on the
 // hot path. Snapshot them with Engine.Metrics; the HTTP front end renders
-// them as Prometheus text exposition via WriteMetrics.
+// them as Prometheus text exposition via WriteRouterMetrics.
 type metrics struct {
 	requests  atomic.Uint64 // completed Predict/PredictBatch calls
 	rejected  atomic.Uint64 // calls refused by admission control
@@ -189,38 +189,6 @@ func (h *histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the bucketed
-// distribution by linear interpolation inside the target bucket — the
-// same estimate Prometheus's histogram_quantile computes. The first
-// bucket interpolates from zero; a target in the +Inf bucket returns the
-// highest finite bound. NaN when the histogram is empty. CI stamps the
-// stage-histogram medians into BENCH artifacts through this.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(s.Count)
-	cum := uint64(0)
-	for i, c := range s.Counts {
-		if float64(cum+c) < rank {
-			cum += c
-			continue
-		}
-		if i >= len(s.Bounds) { // +Inf bucket: no upper bound to interpolate to
-			return s.Bounds[len(s.Bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = s.Bounds[i-1]
-		}
-		if c == 0 {
-			return s.Bounds[i]
-		}
-		return lo + (s.Bounds[i]-lo)*(rank-float64(cum))/float64(c)
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}
-
 // Metrics is a point-in-time snapshot of the engine's instrumentation.
 type Metrics struct {
 	// Requests counts completed Predict/PredictBatch calls; Rejected counts
@@ -287,64 +255,9 @@ func (e *Engine) Metrics() Metrics {
 	}
 }
 
-// WriteMetrics renders a snapshot in Prometheus text exposition format
-// (version 0.0.4), stdlib only. The model gauges describe the predictor
-// currently installed.
-func WriteMetrics(w io.Writer, m Metrics, pred interface {
-	NumClasses() int
-	MemoryBytes() int
-	Dimension() int
-}) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	counter := func(name, help string, v uint64) {
-		p("# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("graphhd_requests_total", "Completed predict calls.", m.Requests)
-	counter("graphhd_rejected_total", "Predict calls refused by admission control.", m.Rejected)
-	counter("graphhd_graphs_accepted_total", "Graphs admitted past admission control.", m.AcceptedGraphs)
-	counter("graphhd_graphs_processed_total", "Graphs classified.", m.Processed)
-	counter("graphhd_model_reloads_total", "Successful hot model swaps.", m.Reloads)
-	counter("graphhd_cascade_stage1_total", "Graphs decided at cascade prefix width.", m.CascadeStage1)
-	counter("graphhd_cascade_escalated_total", "Graphs escalated to full dimension by the cascade.", m.CascadeEscalated)
-	p("# HELP graphhd_inflight_graphs Graphs admitted but not yet classified.\n# TYPE graphhd_inflight_graphs gauge\ngraphhd_inflight_graphs %d\n", m.InFlight)
-	p("# HELP graphhd_queue_depth Graphs admitted but not yet dispatched.\n# TYPE graphhd_queue_depth gauge\ngraphhd_queue_depth %d\n", m.QueueDepth)
-	if pred != nil {
-		p("# HELP graphhd_model_classes Classes in the installed model.\n# TYPE graphhd_model_classes gauge\ngraphhd_model_classes %d\n", pred.NumClasses())
-		p("# HELP graphhd_model_memory_bytes Packed class-vector bytes of the installed model.\n# TYPE graphhd_model_memory_bytes gauge\ngraphhd_model_memory_bytes %d\n", pred.MemoryBytes())
-		p("# HELP graphhd_model_dimension Hypervector dimensionality of the installed model.\n# TYPE graphhd_model_dimension gauge\ngraphhd_model_dimension %d\n", pred.Dimension())
-	}
-	writeProcessGauges(p)
-
-	writeHistogram(p, "graphhd_request_latency_seconds", "Per-call latency from admission to response.", "", m.Latency)
-	writeHistogram(p, "graphhd_batch_size", "Dispatched micro-batch sizes.", "", m.BatchSize)
-	writeHistogram(p, "graphhd_queue_wait_seconds", "Per-task admission-queue wait, queue-enter to dispatcher pickup.", "", m.QueueWait)
-
-	// One family, one series per pipeline stage: where a dispatched
-	// batch's wall time goes.
-	p("# HELP graphhd_stage_seconds Per-batch wall time by pipeline stage.\n# TYPE graphhd_stage_seconds histogram\n")
-	for _, st := range []struct {
-		label string
-		h     HistogramSnapshot
-	}{
-		{"plan", m.StagePlan},
-		{"encode", m.StageEncode},
-		{"classify", m.StageClassify},
-		{"escalate", m.StageEscalate},
-	} {
-		writeHistogramSeries(p, "graphhd_stage_seconds", `stage="`+st.label+`"`, st.h)
-	}
-	return err
-}
-
 // writeProcessGauges renders the process-wide identity and Go-runtime
-// families shared by the single-engine and router expositions. These are
-// per-process facts, so they stay unlabeled even in multi-model
-// deployments.
+// families. These are per-process facts, so they stay unlabeled even in
+// multi-model deployments.
 func writeProcessGauges(p func(string, ...any)) {
 	ks := hdc.Kernels()
 	p("# HELP graphhd_kernel_info SIMD kernel tier serving the encode/query hot paths (info gauge; the value is always 1).\n# TYPE graphhd_kernel_info gauge\ngraphhd_kernel_info{tier=%q,features=%q} 1\n",
@@ -556,35 +469,20 @@ func WriteRouterMetrics(w io.Writer, rt *Router) error {
 	return err
 }
 
-// writeHistogram renders one single-series histogram family: HELP/TYPE
-// header plus its bucket/sum/count series. labels, when non-empty, is a
-// preformatted `k="v"` list applied to every series.
-func writeHistogram(p func(string, ...any), name, help, labels string, h HistogramSnapshot) {
-	p("# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	writeHistogramSeries(p, name, labels, h)
-}
-
 // writeHistogramSeries renders the bucket/sum/count series of one
-// histogram under an already-written family header — the shared tail of
-// plain and labeled (per-stage) families. Buckets are cumulative with a
-// final +Inf bucket equal to the total count, per the text exposition
-// contract.
+// histogram under an already-written family header; labels is a
+// preformatted `k="v"` list applied to every series. Buckets are
+// cumulative with a final +Inf bucket equal to the total count, per the
+// text exposition contract.
 func writeHistogramSeries(p func(string, ...any), name, labels string, h HistogramSnapshot) {
-	sep := ""
-	if labels != "" {
-		sep = labels + ","
-	}
 	cum := uint64(0)
 	for i, b := range h.Bounds {
 		cum += h.Counts[i]
-		p("%s_bucket{%sle=%q} %d\n", name, sep, strconv.FormatFloat(b, 'g', -1, 64), cum)
+		p("%s_bucket{%s,le=%q} %d\n", name, labels, strconv.FormatFloat(b, 'g', -1, 64), cum)
 	}
 	if n := len(h.Counts); n > 0 {
 		cum += h.Counts[n-1]
 	}
-	p("%s_bucket{%sle=\"+Inf\"} %d\n", name, sep, cum)
-	if labels != "" {
-		labels = "{" + labels + "}"
-	}
-	p("%s_sum%s %g\n%s_count%s %d\n", name, labels, h.Sum, name, labels, h.Count)
+	p("%s_bucket{%s,le=\"+Inf\"} %d\n", name, labels, cum)
+	p("%s_sum{%s} %g\n%s_count{%s} %d\n", name, labels, h.Sum, name, labels, h.Count)
 }

@@ -22,7 +22,7 @@ type promSample struct {
 }
 
 // parsePromText is a strict parser for the Prometheus text exposition
-// format (version 0.0.4) subset WriteMetrics emits. It enforces the
+// format (version 0.0.4) subset WriteRouterMetrics emits. It enforces the
 // format contract a real scraper relies on — any deviation fails the
 // test with a line-numbered error:
 //
@@ -260,28 +260,29 @@ func checkHistogram(t *testing.T, samples []promSample, name string, want map[st
 	}
 }
 
-// TestWriteMetricsExposition round-trips WriteMetrics output through a
-// strict text-exposition parser after real traffic (including a cascade
-// model, so every stage series has observations) and checks the
-// histogram contract on every family plus the presence and labeling of
-// the observability additions: the stage-clock family, the queue-wait
-// histogram, and the build-info gauge.
+// TestWriteMetricsExposition round-trips the exposition of a one-model,
+// one-replica deployment through a strict text-exposition parser after
+// real traffic (including a cascade model, so every stage series has
+// observations) and checks the histogram contract on every family plus
+// the presence and labeling of the observability additions: the
+// stage-clock family, the queue-wait histogram, and the build-info gauge.
 func TestWriteMetricsExposition(t *testing.T) {
 	pred, ds := testModel(t, 2048, 1)
 	if err := pred.SetCascade(core.Cascade{DPrefix: 512, Margin: 8}); err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(pred, Options{Workers: 2, MaxBatch: 8, MaxDelay: 50 * time.Microsecond})
-	if err != nil {
+	reg := NewRegistry(RegistryOptions{Engine: Options{Workers: 2, MaxBatch: 8, MaxDelay: 50 * time.Microsecond}})
+	defer reg.Close()
+	if err := reg.Load("default", pred); err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-	if _, err := e.PredictBatch(context.Background(), ds.Graphs); err != nil {
+	rt := NewRouter(reg, RouterOptions{})
+	if _, err := rt.PredictBatch(context.Background(), DefaultTenant, "", ds.Graphs); err != nil {
 		t.Fatal(err)
 	}
 
 	var sb strings.Builder
-	if err := WriteMetrics(&sb, e.Metrics(), e.Predictor()); err != nil {
+	if err := WriteRouterMetrics(&sb, rt); err != nil {
 		t.Fatal(err)
 	}
 	samples := parsePromText(t, sb.String())
@@ -589,77 +590,16 @@ func TestHistogramObserveSum(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantile checks the interpolation estimator on a known
-// distribution and its edge cases (empty, +Inf bucket).
-func TestHistogramQuantile(t *testing.T) {
-	empty := HistogramSnapshot{Bounds: []float64{1, 2}, Counts: []uint64{0, 0, 0}}
-	if q := empty.Quantile(0.5); !math.IsNaN(q) {
-		t.Errorf("empty quantile = %v, want NaN", q)
-	}
-
-	// 100 observations uniform in (0, 10]: bounds 10/20/40, all in the
-	// first bucket. Median interpolates to the bucket midpoint.
-	s := HistogramSnapshot{
-		Bounds: []float64{10, 20, 40},
-		Counts: []uint64{100, 0, 0, 0},
-		Count:  100,
-		Sum:    500,
-	}
-	if q := s.Quantile(0.5); math.Abs(q-5) > 1e-9 {
-		t.Errorf("median = %v, want 5", q)
-	}
-	if q := s.Quantile(1); math.Abs(q-10) > 1e-9 {
-		t.Errorf("p100 = %v, want 10", q)
-	}
-
-	// Observations beyond the last bound land in +Inf; quantiles there
-	// clamp to the highest finite bound rather than inventing a value.
-	inf := HistogramSnapshot{
-		Bounds: []float64{10, 20},
-		Counts: []uint64{0, 0, 50},
-		Count:  50,
-	}
-	if q := inf.Quantile(0.99); q != 20 {
-		t.Errorf("+Inf-bucket quantile = %v, want 20", q)
-	}
-
-	// Split across two buckets: 50 in (0,10], 50 in (10,20] — p75 is
-	// the midpoint of the second bucket.
-	split := HistogramSnapshot{
-		Bounds: []float64{10, 20},
-		Counts: []uint64{50, 50, 0},
-		Count:  100,
-	}
-	if q := split.Quantile(0.75); math.Abs(q-15) > 1e-9 {
-		t.Errorf("p75 = %v, want 15", q)
-	}
-}
-
-// TestQuantileMatchesObservations sanity-checks Quantile against a live
-// histogram fed a known ramp.
-func TestQuantileMatchesObservations(t *testing.T) {
-	var h histogram
-	h.init(powerBounds(1, 16))
-	for i := 1; i <= 1000; i++ {
-		h.observe(float64(i) / 100) // 0.01 .. 10
-	}
-	med := h.snapshot().Quantile(0.5)
-	if med < 2 || med > 8 {
-		t.Fatalf("median of ramp = %v, want within (2, 8)", med)
-	}
-}
-
-func ExampleWriteMetrics() {
-	var m Metrics
-	m.Latency = HistogramSnapshot{Bounds: []float64{0.001}, Counts: []uint64{1, 0}, Count: 1, Sum: 0.0005}
+func ExampleWriteRouterMetrics() {
+	reg := NewRegistry(RegistryOptions{})
+	defer reg.Close()
 	var sb strings.Builder
-	_ = WriteMetrics(&sb, m, nil)
+	_ = WriteRouterMetrics(&sb, NewRouter(reg, RouterOptions{}))
 	for _, line := range strings.Split(sb.String(), "\n") {
-		if strings.HasPrefix(line, "graphhd_request_latency_seconds_bucket") {
+		if strings.HasPrefix(line, "graphhd_models_resident") {
 			fmt.Println(line)
 		}
 	}
 	// Output:
-	// graphhd_request_latency_seconds_bucket{le="0.001"} 1
-	// graphhd_request_latency_seconds_bucket{le="+Inf"} 1
+	// graphhd_models_resident 0
 }
